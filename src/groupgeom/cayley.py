@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .oracle import Tristate, OracleBudget, abelian_residue, element_key, words_equal, UndecidedError
+from .oracle import Tristate, OracleBudget, abelian_residue, normal_form, words_equal, UndecidedError
 from .words import Presentation, Word, free_reduce, letter_key, multiply
 
 VertexRef = Union[int, Word]
@@ -116,7 +116,7 @@ class CayleyBall:
 class ElementIndex:
     """Word deduplication by group element.
 
-    Families with an exact key (free, zz) get O(1) lookups; everything
+    Families with a normal form (free, zz) get O(1) lookups; everything
     else is bucketed by abelianized residue and compared pairwise with the
     equality oracle.  An Unknown comparison raises rather than risking a
     merged or split element.
@@ -126,13 +126,13 @@ class ElementIndex:
         self.presentation = presentation
         self.budget = budget
         self.reps: list[Word] = []
-        self._exact = element_key(presentation, ()) is not None
+        self._exact = normal_form(presentation, ()) is not None
         self._by_key: dict = {}
         self._buckets: dict = {}
 
     def find(self, word: Word) -> Optional[int]:
         if self._exact:
-            return self._by_key.get(element_key(self.presentation, word))
+            return self._by_key.get(normal_form(self.presentation, word))
         bucket = self._buckets.get(abelian_residue(self.presentation, word), ())
         for cand in bucket:
             answer = words_equal(self.presentation, word, self.reps[cand], self.budget)
@@ -149,7 +149,7 @@ class ElementIndex:
         idx = len(self.reps)
         self.reps.append(word)
         if self._exact:
-            self._by_key[element_key(self.presentation, word)] = idx
+            self._by_key[normal_form(self.presentation, word)] = idx
         else:
             self._buckets.setdefault(
                 abelian_residue(self.presentation, word), []

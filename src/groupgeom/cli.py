@@ -17,7 +17,7 @@ from .bench import WordSource, run_bench
 from .cayley import build_ball
 from .dehn import dehn_reduce, verify_dehn_presentation
 from .hplane import THINNESS_BOUND, verify_thinness_bound
-from .isoperimetry import AreaCaps, area, dehn_function, fit_growth
+from .isoperimetry import AreaCaps, area, default_caps, dehn_function, fit_growth
 from .oracle import OracleBudget, Tristate, canonical_form, words_equal
 from .qi import compare_metrics
 from .thinness import delta_estimate
@@ -29,7 +29,6 @@ from .words import (
     parse_presentation,
     parse_word,
     standard_presentation,
-    symmetrize,
 )
 
 
@@ -43,12 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Word problems and coarse geometry for finitely presented groups.",
     )
     top.add_argument("--version", action="version", version=f"groupgeom {__version__}")
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; results never depend on this setting",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     def with_pres(p):
@@ -244,7 +237,7 @@ def _dispatch(args) -> int:
         word = parse_word(args.word, pres)
         max_len = args.max_len
         if max_len is None:
-            max_len = 2 * len(word) + symmetrize(pres).max_length
+            max_len = default_caps(pres, len(word)).max_intermediate_length
         result = area(pres, word, AreaCaps(args.max_area, max_len))
         if result.value is None:
             print("UNKNOWN")
@@ -256,7 +249,7 @@ def _dispatch(args) -> int:
         pres = _load_presentation(args.pres)
         max_len = args.max_len
         if max_len is None:
-            max_len = 2 * args.n + symmetrize(pres).max_length
+            max_len = default_caps(pres, args.n).max_intermediate_length
         table = dehn_function(pres, args.n, AreaCaps(args.max_area, max_len))
         print("n,maxArea,argmax")
         for row in table.rows:

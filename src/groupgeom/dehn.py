@@ -18,8 +18,9 @@ from .words import (
     Presentation,
     SymmetrizedRelatorSet,
     Word,
-    free_reduce_with_count,
+    free_reduce,
     invert,
+    reduce_onto,
     shortlex_key,
     symmetrize,
 )
@@ -82,51 +83,27 @@ def find_majority_subword(
     return None
 
 
-def _splice_reduce(word: Word, pos: int, length: int, replacement: Word):
-    """Replace ``word[pos:pos+length]`` and freely reduce.
-
-    Returns the new word, the leftmost index whose neighborhood changed
-    (cancellation can cascade into the untouched prefix), and the number
-    of cancelled pairs.
-    """
-    out = list(word[:pos])
-    deepest = pos
-    cancels = 0
-    for x in replacement + word[pos + length :]:
-        if out and out[-1] == -x:
-            out.pop()
-            cancels += 1
-            if len(out) < deepest:
-                deepest = len(out)
-        else:
-            out.append(x)
-    return tuple(out), deepest, cancels
-
-
 def dehn_reduce(presentation: Presentation, word: Word) -> tuple[Word, ReductionTrace]:
     """Run the greedy rewriting loop to a word with no majority subword."""
     presentation.check_word(word)
     relators = symmetrize(presentation)
-    w, cancels = free_reduce_with_count(word)
+    w = free_reduce(word)
+    cancels = (len(word) - len(w)) // 2  # each cancelled pair removes two letters
     steps: list[DehnStep] = []
-    max_len = relators.max_length
-    if max_len == 0:
-        return w, ReductionTrace((), cancels)
     scan = 0
-    while True:
-        step = find_majority_subword(w, relators, scan)
-        if step is None:
-            if scan == 0:
-                break
-            # Nothing new past the resume point; confirm from the top.
-            scan = 0
-            continue
-        w, changed_at, c = _splice_reduce(
-            w, step.position, step.matched_length, step.replacement
+    while (step := find_majority_subword(w, relators, scan)) is not None:
+        out = list(w[: step.position])
+        c, changed_at = reduce_onto(
+            out, step.replacement + w[step.position + step.matched_length :]
         )
+        w = tuple(out)
         cancels += c
         steps.append(step)
-        scan = max(0, changed_at - max_len)
+        # A match spans at most one relator length, so one starting that far
+        # before the first changed letter reads only old letters and would
+        # have been found already: no match starts left of ``scan``, and no
+        # second pass from the top is needed.
+        scan = max(0, changed_at - relators.max_length)
     return w, ReductionTrace(tuple(steps), cancels)
 
 

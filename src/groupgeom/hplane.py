@@ -51,10 +51,10 @@ class ThinnessSurvey:
 
 
 def h_dist(p: HPoint, q: HPoint) -> float:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-    return math.acosh(max(1.0, arg))
+    # 2 asinh(|p - q| / (2 sqrt(y_p y_q))) equals the textbook
+    # acosh(1 + |p - q|^2 / (2 y_p y_q)), which loses half its digits
+    # for nearby points.
+    return 2.0 * math.asinh(math.hypot(p.x - q.x, p.y - q.y) / (2.0 * math.sqrt(p.y * q.y)))
 
 
 def _is_vertical(p: HPoint, q: HPoint) -> bool:

@@ -23,6 +23,7 @@ from .words import (
     Presentation,
     Word,
     free_reduce,
+    reduce_onto,
     shortlex_key,
     symmetrize,
 )
@@ -71,9 +72,10 @@ class GrowthClass:
     all_zero: bool = False
 
 
-def default_caps(word: Word, presentation: Presentation) -> AreaCaps:
+def default_caps(presentation: Presentation, length: int) -> AreaCaps:
+    """The caps ``area`` and ``dehn_function`` use for words of up to ``length`` letters."""
     longest = symmetrize(presentation).max_length
-    return AreaCaps(max_area=16, max_intermediate_length=2 * len(word) + longest)
+    return AreaCaps(max_area=16, max_intermediate_length=2 * length + longest)
 
 
 def _winding_mass(word: Iterable[int], x: int, y: int) -> int:
@@ -139,16 +141,6 @@ def _heuristic(word: Word, forms) -> int:
     return best
 
 
-def _splice(word: Word, pos: int, cut: int, repl: Word) -> Word:
-    out = list(word[:pos])
-    for letter in repl + word[pos + cut :]:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def _neighbors(word: Word, members, max_length: int):
     """All single relator moves from ``word`` within the length cap.
 
@@ -166,9 +158,10 @@ def _neighbors(word: Word, members, max_length: int):
                 repl = tuple(-x for x in reversed(rho[cut:]))
                 if n - cut + len(repl) > max_length + 2:  # cheap pre-filter
                     continue
-                nxt = _splice(word, pos, cut, repl)
-                if len(nxt) <= max_length:
-                    yield pos, cut, rho, repl, nxt
+                out = list(word[:pos])
+                reduce_onto(out, repl + word[pos + cut :])
+                if len(out) <= max_length:
+                    yield pos, cut, rho, repl, tuple(out)
 
 
 def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None) -> AreaResult:
@@ -179,7 +172,7 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     """
     presentation.check_word(word)
     if caps is None:
-        caps = default_caps(word, presentation)
+        caps = default_caps(presentation, len(word))
     start = free_reduce(word)
     if start == EMPTY:
         return AreaResult(0, caps, ())
@@ -277,8 +270,7 @@ def dehn_function(
 ) -> DehnTable:
     """Worst-case area over identity words of length <= n, per even n."""
     if caps is None:
-        longest = symmetrize(presentation).max_length
-        caps = AreaCaps(max_area=16, max_intermediate_length=2 * n_max + longest)
+        caps = default_caps(presentation, n_max)
     words = _closed_reduced_words(presentation, n_max)
     words.sort(key=shortlex_key)
     areas: list[tuple[Word, int]] = []

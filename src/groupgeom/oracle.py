@@ -109,13 +109,10 @@ def words_equal(
     w = multiply(u, invert(v))
     if not w:
         return Tristate.EQUAL
-    family = presentation.family
-    if family == "free":
-        return Tristate.NOT_EQUAL
-    if family == "zz":
-        i, j, _ = zz_normal_form(w)
-        return Tristate.EQUAL if i == 0 and j == 0 else Tristate.NOT_EQUAL
-    if family == "surface":
+    nf = normal_form(presentation, w)
+    if nf is not None:
+        return Tristate.EQUAL if nf == EMPTY else Tristate.NOT_EQUAL
+    if presentation.family == "surface":
         reduced, _ = dehn_reduce(presentation, w)
         return Tristate.EQUAL if reduced == EMPTY else Tristate.NOT_EQUAL
     if budget is None:
@@ -128,14 +125,19 @@ def words_equal(
     return Tristate.EQUAL if result.value is not None else Tristate.UNKNOWN
 
 
-def element_key(presentation: Presentation, word: Word):
-    """Hashable exact identity key for families that admit one, else None."""
+def normal_form(presentation: Presentation, word: Word) -> Optional[Word]:
+    """Exact normal form of the element, for families that have one.
+
+    Free: the freely reduced word.  Commuting pair: ``a^i b^j``.  None for
+    every other presentation.  Two words name the same element exactly
+    when their normal forms agree.
+    """
     family = presentation.family
     if family == "free":
         return free_reduce(word)
     if family == "zz":
-        i, j, _ = zz_normal_form(free_reduce(word))
-        return (i, j)
+        i, j, _ = zz_normal_form(word)
+        return (1 if i > 0 else -1,) * abs(i) + (2 if j > 0 else -2,) * abs(j)
     return None
 
 
@@ -144,21 +146,16 @@ def canonical_form(
 ) -> Word:
     """A canonical spelling of the element named by ``word``.
 
-    Free: the freely reduced word.  Commuting pair: ``a^i b^j``.  Other
-    families: the representative stored at the word's vertex in a ball of
-    radius ``len(word)``, canonical only relative to that ball; the
+    The :func:`normal_form` where the family has one.  Other families: the
+    representative stored at the word's vertex in a ball of radius
+    ``len(word)``, canonical only relative to that ball; the
     ``max_radius`` guard turns an over-budget request into an error
     instead of a runaway ball construction.
     """
     presentation.check_word(word)
-    family = presentation.family
-    if family == "free":
-        return free_reduce(word)
-    if family == "zz":
-        i, j, _ = zz_normal_form(free_reduce(word))
-        a = (1,) * i if i >= 0 else (-1,) * (-i)
-        b = (2,) * j if j >= 0 else (-2,) * (-j)
-        return a + b
+    nf = normal_form(presentation, word)
+    if nf is not None:
+        return nf
     # Greedy rewriting preserves the element and never lengthens, so it
     # shrinks the ball radius the lookup needs.
     w, _ = dehn_reduce(presentation, word)

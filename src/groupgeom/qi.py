@@ -23,7 +23,6 @@ class QIReport:
     lam: float
     c: int
     radius: int
-    violations: int
     element_count: int
 
 
@@ -101,5 +100,5 @@ def compare_metrics(
         k = _minimal_quarters(pairs, c)
         if k is not None:
             assert _satisfies(pairs, k, c)
-            return QIReport(k / 4.0, c, radius, 0, len(common))
-    return QIReport(1.0, 0, radius, 0, len(common))  # only the identity seen
+            return QIReport(k / 4.0, c, radius, len(common))
+    return QIReport(1.0, 0, radius, len(common))  # only the identity seen

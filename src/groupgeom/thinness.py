@@ -149,7 +149,6 @@ def triangle_thinness(
     x: VertexRef,
     y: VertexRef,
     z: VertexRef,
-    geodesic_cap: int = 10_000,
     worst_case: bool = True,
 ) -> tuple[int, ThinnessWitness]:
     """Thinness of one triangle, with a witness configuration.
@@ -168,7 +167,7 @@ def triangle_thinness(
                 )
     D = ball.distance_matrix()
     if not worst_case:
-        return _canonical_choice_thinness(ball, tri, D, geodesic_cap)
+        return _canonical_choice_thinness(ball, tri, D)
     dags = [_SideDag(ball, tri[ia], tri[ib], D) for ia, ib, _ in _SIDES]
     delta, si, p = _evaluate(ball, tri, dags, D)
     ia, ib, _ = _SIDES[si]
@@ -191,7 +190,7 @@ def triangle_thinness(
     return delta, witness
 
 
-def _canonical_choice_thinness(ball, tri, D, cap):
+def _canonical_choice_thinness(ball, tri, D):
     paths = []
     for ia, ib, _ in _SIDES:
         geos, _trunc = all_geodesics(ball, tri[ia], tri[ib], cap=1)
@@ -214,7 +213,6 @@ def delta_estimate(
     ball: CayleyBall,
     sample_count: Optional[int] = None,
     seed: Optional[int] = None,
-    geodesic_cap: int = 10_000,
 ) -> ThinnessReport:
     """Max triangle thinness over unclipped vertex triples.
 
@@ -289,5 +287,5 @@ def delta_estimate(
             best_triple = tri
     witness = None
     if best_triple is not None:
-        best, witness = triangle_thinness(ball, *best_triple, geodesic_cap=geodesic_cap)
+        best, witness = triangle_thinness(ball, *best_triple)
     return ThinnessReport(best, witness, examined, policy)

@@ -30,6 +30,27 @@ class ParseError(ValueError):
         self.column = column
 
 
+def reduce_onto(out: list[int], letters: Iterable[int]) -> tuple[int, int]:
+    """Append ``letters`` to ``out``, deleting adjacent inverse pairs as they meet.
+
+    Every free reduction in the package runs through this loop.  A freely
+    reduced ``out`` stays freely reduced.  Returns the number of deleted
+    pairs and the shortest length ``out`` reached, which is how far the
+    cancellation cascaded back into the letters it held before.
+    """
+    cancels = 0
+    low = len(out)
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+            cancels += 1
+            if len(out) < low:
+                low = len(out)
+        else:
+            out.append(x)
+    return cancels, low
+
+
 def free_reduce(letters: Iterable[int]) -> Word:
     """Delete adjacent inverse pairs until none remain.
 
@@ -37,25 +58,8 @@ def free_reduce(letters: Iterable[int]) -> Word:
     order in which pairs are deleted.
     """
     out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
+    reduce_onto(out, letters)
     return tuple(out)
-
-
-def free_reduce_with_count(letters: Iterable[int]) -> tuple[Word, int]:
-    """Like :func:`free_reduce` but also counts deleted pairs."""
-    out: list[int] = []
-    cancels = 0
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-            cancels += 1
-        else:
-            out.append(x)
-    return tuple(out), cancels
 
 
 def cyclic_reduce(word: Iterable[int]) -> Word:
@@ -77,11 +81,7 @@ def multiply(*words: Iterable[int]) -> Word:
     """Concatenate words and freely reduce the product."""
     out: list[int] = []
     for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
+        reduce_onto(out, w)
     return tuple(out)
 
 

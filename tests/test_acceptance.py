@@ -193,7 +193,7 @@ def test_criterion_09_qi_constants():
     diag = compare_metrics(ZZ, None, [parse_word(t, ZZ) for t in ("a", "b", "ab")], 6)
     same = compare_metrics(ZZ, None, [parse_word(t, ZZ) for t in ("a", "b")], 6)
     ok = (
-        (diag.lam, diag.c, diag.violations) == (2.0, 0, 0)
+        (diag.lam, diag.c) == (2.0, 0)
         and (same.lam, same.c) == (1.0, 0)
     )
     _report("criterion 9: quasi-isometry constants", ok,

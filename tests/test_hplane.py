@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from groupgeom.hplane import (
     THINNESS_BOUND,
@@ -75,6 +75,7 @@ def test_geodesic_point_examples():
 
 
 @given(points, points, st.floats(0.0, 1.0))
+@example(p=HPoint(0.0, 1.0), q=HPoint(0.0, 3.0), t=5.960464477539063e-08)
 def test_geodesic_additivity(p, q, t):
     if p == q:
         return

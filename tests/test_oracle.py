@@ -11,12 +11,14 @@ from groupgeom.oracle import (
     canonical_form,
     exhaustive_identity_words,
     generate_null_homotopic,
+    normal_form,
     words_equal,
 )
 from groupgeom.words import (
     EMPTY,
     Presentation,
     format_word,
+    free_reduce,
     invert,
     multiply,
     parse_word,
@@ -93,6 +95,21 @@ def test_canonical_form_idempotent_zz():
 def test_canonical_form_budget_guard():
     with pytest.raises(UndecidedError):
         canonical_form(SURF2, parse_word("ababab", SURF2), max_radius=2)
+
+
+def test_normal_form_on_every_reduced_word_up_to_six():
+    letters = (1, -1, 2, -2)
+    for n in range(7):
+        for word in product(letters, repeat=n):
+            if any(word[k] == -word[k + 1] for k in range(n - 1)):
+                continue
+            i = word.count(1) - word.count(-1)
+            j = word.count(2) - word.count(-2)
+            power = ("a" if i > 0 else "A") * abs(i) + ("b" if j > 0 else "B") * abs(j)
+            assert normal_form(F2, word) == free_reduce(word)
+            assert normal_form(ZZ, word) == w(power)
+            assert normal_form(SURF2, word) is None
+            assert normal_form(GENERIC_ZZ, word) is None
 
 
 def test_generate_zz_one_insertion():

@@ -15,13 +15,11 @@ def gens(pres, *texts):
 def test_identical_generating_sets():
     report = compare_metrics(ZZ, None, gens(ZZ, "a", "b"), 4)
     assert (report.lam, report.c) == (1.0, 0)
-    assert report.violations == 0
 
 
 def test_zz_with_diagonal_generator():
     report = compare_metrics(ZZ, None, gens(ZZ, "a", "b", "ab"), 6)
     assert (report.lam, report.c) == (2.0, 0)
-    assert report.violations == 0
     assert report.element_count == 85  # the whole radius-6 ball is common
 
 
@@ -56,7 +54,6 @@ def test_role_swap_gives_valid_constants_each_way():
     b_words = gens(ZZ, "a", "b", "ab")
     fwd = compare_metrics(ZZ, a_words, b_words, 5)
     rev = compare_metrics(ZZ, b_words, a_words, 5)
-    assert fwd.violations == rev.violations == 0
     assert fwd.lam >= 1.0 and rev.lam >= 1.0
 
 
@@ -64,7 +61,6 @@ def test_free_rank_two_doubled_generators():
     # {aa, b} only generates a proper subgroup, so the comparison runs
     # over the elements both searches reach and still fits constants.
     report = compare_metrics(F2, None, gens(F2, "aa", "b"), 5)
-    assert report.violations == 0
     assert report.lam >= 1.0
 
 
