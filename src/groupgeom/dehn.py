@@ -3,14 +3,18 @@
 ``dehn_reduce`` scans a word for a subword covering strictly more than
 half of some symmetrized relator, swaps it for the inverse of the
 remaining part (which is strictly shorter), backs the scan up one full
-relator length, and repeats.  ``verify_dehn_presentation`` tests whether
-that procedure actually recognizes the identity on a budgeted family of
-words that are equal to the identity.
+relator length, and repeats.  It keeps the scanned prefix and the reversed
+unread suffix on two stacks and matches by one walk of the relator trie
+(``SymmetrizedRelatorSet.majority_prefix``), so a step costs O(relator
+length) and the loop runs in linear time.  ``verify_dehn_presentation``
+tests whether that procedure recognizes the identity on a budgeted family
+of words that are equal to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .words import (
@@ -19,7 +23,6 @@ from .words import (
     SymmetrizedRelatorSet,
     Word,
     free_reduce,
-    invert,
     reduce_onto,
     shortlex_key,
     symmetrize,
@@ -64,22 +67,10 @@ def find_majority_subword(
     Ties at one position go to the longest match, then to the member
     earliest in the set's (shortlex) enumeration order.
     """
-    n = len(word)
-    members = relators.members
-    for i in range(start, n):
-        best_len = 0
-        best_rel: Optional[Word] = None
-        remaining = n - i
-        for rel in members:
-            limit = min(len(rel), remaining)
-            lcp = 0
-            while lcp < limit and word[i + lcp] == rel[lcp]:
-                lcp += 1
-            if 2 * lcp > len(rel) and lcp > best_len:
-                best_len = lcp
-                best_rel = rel
-        if best_rel is not None:
-            return DehnStep(i, best_rel, best_len, invert(best_rel[best_len:]))
+    for i in range(start, len(word)):
+        match = relators.majority_prefix(islice(word, i, None))
+        if match is not None:
+            return DehnStep(i, *match)
     return None
 
 
@@ -87,24 +78,34 @@ def dehn_reduce(presentation: Presentation, word: Word) -> tuple[Word, Reduction
     """Run the greedy rewriting loop to a word with no majority subword."""
     presentation.check_word(word)
     relators = symmetrize(presentation)
-    w = free_reduce(word)
-    cancels = (len(word) - len(w)) // 2  # each cancelled pair removes two letters
+    match, back = relators.majority_prefix, relators.max_length
+    done: list[int] = []  # the scanned prefix
+    todo = list(reversed(free_reduce(word)))  # the unread suffix, reversed
+    cancels = (len(word) - len(todo)) // 2  # each cancelled pair removes two letters
     steps: list[DehnStep] = []
-    scan = 0
-    while (step := find_majority_subword(w, relators, scan)) is not None:
-        out = list(w[: step.position])
-        c, changed_at = reduce_onto(
-            out, step.replacement + w[step.position + step.matched_length :]
-        )
-        w = tuple(out)
+    while todo:
+        found = match(reversed(todo))
+        if found is None:
+            done.append(todo.pop())
+            continue
+        relator, length, replacement = found
+        steps.append(DehnStep(len(done), relator, length, replacement))
+        del todo[len(todo) - length :]
+        c, low = reduce_onto(done, replacement)
+        # ``todo`` is freely reduced: the cascade stops at its first surviving letter.
+        while done and todo and done[-1] == -todo[-1]:
+            done.pop()
+            todo.pop()
+            c += 1
         cancels += c
-        steps.append(step)
         # A match spans at most one relator length, so one starting that far
         # before the first changed letter reads only old letters and would
-        # have been found already: no match starts left of ``scan``, and no
-        # second pass from the top is needed.
-        scan = max(0, changed_at - relators.max_length)
-    return w, ReductionTrace(tuple(steps), cancels)
+        # have been found already: no match starts left of the scan point,
+        # and no second pass from the top is needed.
+        scan = max(0, min(low, len(done)) - back)
+        todo += reversed(done[scan:])
+        del done[scan:]
+    return tuple(done), ReductionTrace(tuple(steps), cancels)
 
 
 def zz_normal_form(word: Word) -> tuple[int, int, int]:

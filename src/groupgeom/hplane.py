@@ -92,7 +92,8 @@ def point_to_side(p: HPoint, a: HPoint, b: HPoint) -> float:
     sums of squares; the naive M^2 - K^2 cancels catastrophically on the
     huge arcs that nearly-vertical sides produce.  Positions along the
     arc are compared as half-angle tangents, which stay monotone in the
-    angle and keep precision at both ends of the semicircle.
+    angle and keep precision at both ends of the semicircle.  The arc
+    distance asinh(|h - R|(h + R) / (2Ry)), h = |p - c|, is exact near the arc.
     """
     if a == b:
         return h_dist(p, a)
@@ -115,8 +116,8 @@ def point_to_side(p: HPoint, a: HPoint, b: HPoint) -> float:
     foot_tan = math.sqrt(m_minus_k / m_plus_k)
     ta, tb = half_tan(a), half_tan(b)
     if min(ta, tb) <= foot_tan <= max(ta, tb):
-        arg = math.sqrt(m_minus_k) * math.sqrt(m_plus_k) / (2.0 * v)
-        return math.acosh(max(1.0, arg))
+        h = math.hypot(p.x - cx, p.y)
+        return math.asinh(abs(h - r) * (h + r) / (2.0 * r * p.y))
     return min(h_dist(p, a), h_dist(p, b))
 
 

@@ -10,7 +10,7 @@ uppercase letter, and the empty word as ``1``.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -147,17 +147,37 @@ class Presentation:
         return tuple(out)
 
     def check_word(self, word: Word) -> None:
-        for x in word:
-            if x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x} outside alphabet of rank {self.rank}")
+        rank = self.rank
+        # The scans run in C; the loop runs only to name the first bad letter.
+        if word and (max(word) > rank or min(word) < -rank or 0 in word):
+            for x in word:
+                if x == 0 or abs(x) > rank:
+                    raise ValueError(f"letter {x} outside alphabet of rank {rank}")
 
 
 @dataclass(frozen=True)
 class SymmetrizedRelatorSet:
-    """All cyclic permutations of every relator and every inverted relator."""
+    """All cyclic permutations of every relator and every inverted relator.
+
+    ``trie`` is their prefix trie: a node maps letter to child, and key 0,
+    never a letter, holds ``(member, depth, invert(member[depth:]))`` for the
+    shortlex-first member that the path to the node covers by a majority.
+    """
 
     members: tuple[Word, ...]
     max_length: int
+    trie: dict = field(compare=False, repr=False)
+
+    def majority_prefix(self, letters: Iterable[int]) -> Optional[tuple[Word, int, Word]]:
+        """The record of the longest majority prefix of ``letters``, or None."""
+        best = None
+        node = self.trie
+        for x in letters:
+            node = node.get(x)
+            if node is None:
+                break
+            best = node.get(0, best)
+        return best
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +188,15 @@ def symmetrize(presentation: Presentation) -> SymmetrizedRelatorSet:
             for rot in rotations(form):
                 seen.add(rot)
     members = tuple(sorted(seen, key=shortlex_key))
+    trie: dict = {}
+    for m in members:
+        node = trie
+        for depth, x in enumerate(m, 1):
+            node = node.setdefault(x, {})
+            if 2 * depth > len(m) and 0 not in node:
+                node[0] = (m, depth, invert(m[depth:]))
     max_length = max((len(m) for m in members), default=0)
-    return SymmetrizedRelatorSet(members, max_length)
+    return SymmetrizedRelatorSet(members, max_length, trie)
 
 
 def standard_presentation(family: str, param: int = 0) -> Presentation:

@@ -42,6 +42,24 @@ def test_reduce_prints_empty_marker(surf_file, capsys):
     assert out[1] == "steps=1"
 
 
+def test_reduce_long_identity_word(surf_file, capsys):
+    import random
+
+    from groupgeom.dehn import dehn_reduce
+    from groupgeom.words import format_word, invert, reduce_onto, symmetrize
+
+    surf = standard_presentation("surface", 2)
+    rng = random.Random(20)
+    forms = symmetrize(surf).members
+    w = []
+    while len(w) < 20000:
+        g = tuple(rng.choice(surf.letters()) for _ in range(rng.randint(0, 6)))
+        reduce_onto(w, g + rng.choice(forms) + invert(g))
+    assert main(["reduce", "--pres", surf_file, format_word(tuple(w), surf)]) == 0
+    steps = dehn_reduce(surf, tuple(w))[1].step_count
+    assert capsys.readouterr().out.split() == ["1", f"steps={steps}"]
+
+
 def test_normal_form(zz_file, capsys):
     assert main(["normal-form", "--pres", zz_file, "ababa"]) == 0
     assert capsys.readouterr().out.strip() == "aaabb"

@@ -2,15 +2,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupgeom.dehn import (
+    DehnStep,
     dehn_reduce,
     find_majority_subword,
     verify_dehn_presentation,
     zz_normal_form,
 )
+from groupgeom.isoperimetry import fit_growth
 from groupgeom.words import (
     EMPTY,
+    Presentation,
     free_reduce,
+    invert,
+    multiply,
     parse_word,
+    reduce_onto,
     standard_presentation,
     symmetrize,
 )
@@ -142,7 +148,6 @@ def test_verify_rejects_zero_insertions():
 
 def test_dehn_reduce_element_confirmed_by_generic_oracle():
     from groupgeom.oracle import OracleBudget, Tristate, words_equal
-    from groupgeom.words import Presentation
 
     generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
     budget = OracleBudget(10, 30)
@@ -152,18 +157,72 @@ def test_dehn_reduce_element_confirmed_by_generic_oracle():
         assert words_equal(generic, word, out, budget) is Tristate.EQUAL
 
 
-@given(st.sampled_from(["zz", "surface"]), st.integers(0, 2**32 - 1))
-def test_scan_resume_matches_always_from_zero(family, seed):
-    # The back-up-and-resume scan must behave exactly like rescanning the
-    # whole word after every replacement.
+PRESENTATIONS = {
+    "zz": ZZ,
+    "surface": SURF2,
+    "untagged zz": Presentation(("a", "b"), ((1, 2, -1, -2),)),
+    "three relators": Presentation(("a", "b", "c"), ((1, 2, -1, -2), (1, 1, 3, -2, 3), (3, 3, 3))),
+    "torsion": Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2))),
+}
+
+
+def _reference_majority(word, relators, start=0):
+    # The member-by-member prefix loop the relator trie replaced.
+    n = len(word)
+    for i in range(start, n):
+        best_len = 0
+        best_rel = None
+        remaining = n - i
+        for rel in relators.members:
+            limit = min(len(rel), remaining)
+            lcp = 0
+            while lcp < limit and word[i + lcp] == rel[lcp]:
+                lcp += 1
+            if 2 * lcp > len(rel) and lcp > best_len:
+                best_len = lcp
+                best_rel = rel
+        if best_rel is not None:
+            return DehnStep(i, best_rel, best_len, invert(best_rel[best_len:]))
+    return None
+
+
+def _member_pieces(pres):
+    # Words glued from member prefixes and single letters, so that majority
+    # matches, ties and overlaps are common.
+    single = st.sampled_from(pres.letters()).map(lambda x: (x,))
+    prefix = st.sampled_from(symmetrize(pres).members).flatmap(
+        lambda m: st.integers(0, len(m)).map(lambda k: m[:k])
+    )
+    return st.lists(st.one_of(single, prefix), max_size=8).map(lambda ps: sum(ps, ()))
+
+
+@given(st.sampled_from(sorted(PRESENTATIONS)), st.data())
+def test_find_majority_matches_reference_at_every_start(name, data):
+    pres = PRESENTATIONS[name]
+    word = data.draw(_member_pieces(pres))
+    relators = symmetrize(pres)
+    for start in range(len(word) + 1):
+        assert find_majority_subword(word, relators, start) == _reference_majority(
+            word, relators, start
+        )
+
+
+@given(st.sampled_from(sorted(PRESENTATIONS)), st.integers(0, 2**32 - 1))
+def test_scan_resume_matches_always_from_zero(name, seed):
+    # The two-stack scan must behave exactly like rescanning the whole word
+    # with the reference matcher after every replacement.
     import random as _random
 
-    from groupgeom.words import multiply
-
-    pres = ZZ if family == "zz" else SURF2
+    pres = PRESENTATIONS[name]
     rng = _random.Random(seed)
     letters = pres.letters()
-    word = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 28)))
+    if seed % 2:
+        word = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 28)))
+    else:
+        word = ()
+        for _ in range(rng.randrange(0, 6)):
+            g = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 4)))
+            word += g + rng.choice(pres.relators) + invert(g)
 
     relators = symmetrize(pres)
     w = free_reduce(word)
@@ -171,7 +230,7 @@ def test_scan_resume_matches_always_from_zero(family, seed):
     cancels = (len(word) - len(w)) // 2
     steps = []
     while True:
-        step = find_majority_subword(w, relators, 0)
+        step = _reference_majority(w, relators, 0)
         if step is None:
             break
         tail = w[step.position + step.matched_length :]
@@ -184,3 +243,34 @@ def test_scan_resume_matches_always_from_zero(family, seed):
     assert out == w
     assert trace.steps == tuple(steps)
     assert trace.free_cancellations == cancels
+
+
+def _surface_identity_word(rng, length):
+    """A product of random conjugates of surface-2 relator forms, freely
+    reduced, at least ``length`` letters long."""
+    forms = symmetrize(SURF2).members
+    letters = SURF2.letters()
+    w = []
+    while len(w) < length:
+        g = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+        reduce_onto(w, g + rng.choice(forms) + invert(g))
+    return tuple(w)
+
+
+def test_dehn_reduce_time_is_linear_on_surface_identity_words():
+    import random
+    import time
+
+    rng = random.Random(4)
+    rows = []
+    for length in (4096, 16384, 65536):
+        word = _surface_identity_word(rng, length)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out, _ = dehn_reduce(SURF2, word)
+            times.append(time.perf_counter() - t0)
+        assert out == EMPTY
+        rows.append((len(word), min(times)))
+    assert fit_growth(rows).kind == "linear", rows
+    assert rows[-1][1] < 2.0, rows

@@ -107,6 +107,13 @@ def test_point_to_side_foot_cases():
     assert abs(d3 - h_dist(HPoint(1, 1), HPoint(0, 0.2))) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-9, 6.5e-8])
+def test_point_to_side_exact_just_above_the_arc(eps):
+    # The side lies on the unit circle; its foot from (0, 1 + eps) is (0, 1).
+    d = point_to_side(HPoint(0, 1 + eps), HPoint(-0.6, 0.8), HPoint(0.6, 0.8))
+    assert math.isclose(d, math.log1p(eps), rel_tol=1e-6)
+
+
 def test_tiny_triangle_nearly_euclidean():
     report = h_triangle_thinness(
         HPoint(0, 1), HPoint(1e-3, 1), HPoint(0, 1.0005), samples_per_side=32

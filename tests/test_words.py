@@ -127,6 +127,16 @@ def test_presentation_reduces_relators_silently():
     assert pres.relators == ((2, 1, -2, -1),)
 
 
+@pytest.mark.parametrize(
+    "word, bad", [((1, 0, 5), 0), ((1, 2, 3, -2), 3), ((-3, 0), -3), ((2, -1, -5, 9), -5)]
+)
+def test_check_word_names_the_first_bad_letter(word, bad):
+    with pytest.raises(ValueError, match=f"^letter {bad} outside alphabet of rank 2$"):
+        ZZ.check_word(word)
+    ZZ.check_word((1, -1, 2, -2))
+    ZZ.check_word(EMPTY)
+
+
 def test_word_text_roundtrip():
     for text in ("aaabb", "abAB", "1", "aBAb"):
         assert format_word(parse_word(text, ZZ), ZZ) == text
