@@ -11,6 +11,7 @@ ball.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from typing import NamedTuple, Optional, Union
 
@@ -91,12 +92,44 @@ class CayleyBall:
         return dist
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs distances inside the ball (int16, cached)."""
+        """All-pairs distances inside the ball (int16, cached).
+
+        One breadth-first search from every source at once.  Row v of the
+        boolean frontier marks the sources at the current level's distance
+        from v; the next level ORs the frontier rows of v's neighbours and
+        drops the sources already seen.  The graph is undirected, so the
+        rows found this way are also the columns.
+        """
         if self._matrix is None:
             n = len(self.vertices)
-            mat = np.empty((n, n), dtype=np.int16)
-            for v in range(n):
-                mat[v] = self._bfs(v)
+            check_memory(n, 6, "the distance matrix")
+            letters = self.presentation.letters()
+            # -1 where the edge leaves the ball: it wraps to frontier row n,
+            # which stays all False.
+            nbr = np.array(
+                [[edges.get(letter, -1) for letter in letters] for edges in self.adjacency],
+                dtype=np.intp,
+            ).reshape(n, len(letters))
+            frontier = np.zeros((n + 1, n), dtype=bool)
+            np.fill_diagonal(frontier, True)
+            seen = frontier[:n].copy()
+            mat = np.full((n, n), -1, dtype=np.int16)
+            np.fill_diagonal(mat, 0)
+            nxt = np.empty((n, n), dtype=bool)
+            step = np.empty((n, n), dtype=bool)
+            level = 0
+            while True:
+                level += 1
+                nxt.fill(False)
+                for col in nbr.T:
+                    np.take(frontier, col, axis=0, out=step, mode="wrap")
+                    nxt |= step
+                np.greater(nxt, seen, out=nxt)
+                if not nxt.any():
+                    break
+                seen |= nxt
+                mat[nxt] = level
+                frontier[:n] = nxt
             self._matrix = mat
         return self._matrix
 
@@ -159,6 +192,29 @@ class ElementIndex:
     def find_or_add(self, word: Word) -> int:
         found = self.find(word)
         return self.add(word) if found is None else found
+
+
+def physical_memory() -> Optional[int]:
+    """Bytes of physical memory on this machine; None where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(n: int, bytes_per_pair: int, what: str) -> None:
+    """Refuse, before allocating, an n-by-n computation that cannot fit.
+
+    ``bytes_per_pair`` is the computation's peak over all its arrays,
+    per ordered vertex pair.
+    """
+    need = n * n * bytes_per_pair
+    limit = physical_memory()
+    if limit is not None and need > limit:
+        raise MemoryError(
+            f"{what} of a {n}-vertex ball needs about {need:,} bytes, "
+            f"more than the {limit:,} bytes of physical memory"
+        )
 
 
 def build_ball(

@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -141,14 +141,20 @@ def normal_form(presentation: Presentation, word: Word) -> Optional[Word]:
     return None
 
 
+# The largest ball canonical_form has built, per presentation.
+_canonical_balls: dict = {}
+
+
 def canonical_form(
     presentation: Presentation, word: Word, max_radius: Optional[int] = None
 ) -> Word:
     """A canonical spelling of the element named by ``word``.
 
     The :func:`normal_form` where the family has one.  Other families: the
-    representative stored at the word's vertex in a ball of radius
-    ``len(word)``, canonical only relative to that ball; the
+    representative stored at the word's vertex in a Cayley ball, the
+    shortlex-least geodesic spelling of the element, so any ball that
+    reaches the word gives the same answer.  The largest ball built so far
+    is kept per presentation and reused when its radius suffices.  The
     ``max_radius`` guard turns an over-budget request into an error
     instead of a runaway ball construction.
     """
@@ -164,9 +170,11 @@ def canonical_form(
         raise UndecidedError(
             f"canonical form needs a radius-{radius} ball, over the {max_radius} budget"
         )
-    from .cayley import build_ball
+    ball = _canonical_balls.get(presentation)
+    if ball is None or ball.radius < radius:
+        from .cayley import build_ball
 
-    ball = build_ball(presentation, radius)
+        ball = _canonical_balls[presentation] = build_ball(presentation, radius)
     return ball.vertices[ball.vertex_of(w)]
 
 

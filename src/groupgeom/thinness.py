@@ -8,17 +8,25 @@ directions), each side is handled through its shortest-path DAG: the set
 of vertices lying on any geodesic gives the candidate points p, and the
 adversary's "farthest geodesic" distance is a bottleneck max-min dynamic
 program over the DAG, which computes the exact maximum over all choices.
+The program runs once per side, vectorized over every ball vertex, so its
+result (the side's adversary vector) serves every triangle that shares
+the side: a triangle then costs one lookup per side and point.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cayley import CayleyBall, VertexRef, all_geodesics
+from .cayley import CayleyBall, VertexRef, all_geodesics, check_memory
+
+# Bytes of side entries delta_estimate keeps at once, about 10k sides of
+# the 3,193-vertex surface ball; evicting one only means computing it again.
+_SIDE_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -66,23 +74,21 @@ class _SideDag:
                     self.preds[i].append(j)
 
 
-def _adversary_distances(dag: _SideDag, points: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """For each p in points: max over geodesics of min distance p to the path.
+def _adversary_vector(dag: _SideDag, D: np.ndarray) -> np.ndarray:
+    """For every ball vertex p: max over geodesics of min distance p to the path.
 
-    Bottleneck DP, vectorized over points: M[v] = min(d(v, p), max over
-    predecessors), answered at the far endpoint.
+    Bottleneck DP, vectorized over all vertices: M[v] = min(d(v, p), max
+    over predecessors), answered at the far endpoint.  Returns a copy of
+    that row, so the k-by-n table is freed.
     """
-    W = D[np.ix_(dag.nodes, points)].astype(np.int32)
-    M = np.empty_like(W)
-    for i in range(len(dag.nodes)):
-        if not dag.preds[i]:
-            M[i] = W[i]
-        else:
-            acc = M[dag.preds[i][0]]
-            for j in dag.preds[i][1:]:
+    M = D[dag.nodes]
+    for i, preds in enumerate(dag.preds):
+        if preds:
+            acc = M[preds[0]]
+            for j in preds[1:]:
                 acc = np.maximum(acc, M[j])
-            M[i] = np.minimum(W[i], acc)
-    return M[dag.pos[dag.b]]
+            np.minimum(M[i], acc, out=M[i])
+    return M[dag.pos[dag.b]].copy()
 
 
 def _adversary_path(dag: _SideDag, weights: np.ndarray) -> tuple[int, ...]:
@@ -128,16 +134,14 @@ def _any_geodesic_through(ball: CayleyBall, a: int, p: int, b: int, D: np.ndarra
 _SIDES = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
 
 
-def _evaluate(ball, tri, dags, D):
-    """(delta, side index, point) for one triangle, worst case over choices."""
+def _evaluate(sides):
+    """(delta, side index, point) for one triangle, worst case over choices.
+
+    ``sides[si]`` is ``(DAG nodes, adversary vector)`` of side si.
+    """
     best = (-1, -1, -1)
-    for si, (ia, ib, _) in enumerate(_SIDES):
-        points = dags[si].nodes
-        others = [dags[(si + 1) % 3], dags[(si + 2) % 3]]
-        vals = np.minimum(
-            _adversary_distances(others[0], points, D),
-            _adversary_distances(others[1], points, D),
-        )
+    for si, (points, _) in enumerate(sides):
+        vals = np.minimum(sides[(si + 1) % 3][1][points], sides[(si + 2) % 3][1][points])
         k = int(vals.argmax())
         if int(vals[k]) > best[0]:
             best = (int(vals[k]), si, int(points[k]))
@@ -169,7 +173,7 @@ def triangle_thinness(
     if not worst_case:
         return _canonical_choice_thinness(ball, tri, D)
     dags = [_SideDag(ball, tri[ia], tri[ib], D) for ia, ib, _ in _SIDES]
-    delta, si, p = _evaluate(ball, tri, dags, D)
+    delta, si, p = _evaluate([(dag.nodes, _adversary_vector(dag, D)) for dag in dags])
     ia, ib, _ = _SIDES[si]
     side_path = _any_geodesic_through(ball, tri[ia], p, tri[ib], D)
     other = [dags[(si + 1) % 3], dags[(si + 2) % 3]]
@@ -209,28 +213,17 @@ def _canonical_choice_thinness(ball, tri, D):
     return delta, witness
 
 
-def delta_estimate(
-    ball: CayleyBall,
-    sample_count: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> ThinnessReport:
-    """Max triangle thinness over unclipped vertex triples.
-
-    Exhaustive by default; pass ``sample_count``/``seed`` for a seeded
-    random subset (whose maximum can only undershoot the exhaustive one).
-    Triangles that provably cannot beat the running maximum are skipped:
-    every point on a side is within half that side's length of a shared
-    corner, so thinness never exceeds half the longest side.
-    """
-    if ball.radius < 2:
-        raise ValueError("delta estimation needs radius >= 2")
+def _triples(ball: CayleyBall, D: np.ndarray, sample_count, seed):
+    """The triples ``(i, j, k, longest side)``, ``i < j < k``, that
+    :func:`delta_estimate` examines, and the policy that chose them."""
     n = len(ball)
-    D = ball.distance_matrix()
-    d0 = np.asarray(ball.dist, dtype=np.int32)
-    elig = (d0[:, None] + d0[None, :] + D) <= 2 * ball.radius
+    d0 = np.asarray(ball.dist, dtype=np.int16)
+    # int16 holds depth + depth + distance <= 4 * radius.
+    elig = D + d0[:, None]
+    elig += d0
+    elig = elig <= 2 * ball.radius
 
     if sample_count is None:
-        policy = "exhaustive"
         triples = []
         for i in range(n):
             row_i = elig[i]
@@ -242,49 +235,77 @@ def delta_estimate(
                 for k in ks:
                     kk = int(k) + j + 1
                     triples.append((i, j, kk, max(dij, int(D[i, kk]), int(D[j, kk]))))
-    else:
-        if seed is None:
-            raise ValueError("random sampling needs an explicit seed")
-        policy = f"random(seed={seed}, count={sample_count})"
-        rng = random.Random(seed)
-        chosen = set()
-        attempts = 0
-        while len(chosen) < sample_count and attempts < 200 * max(1, sample_count):
-            attempts += 1
-            picks = sorted(rng.sample(range(n), 3))
-            i, j, k = picks
-            if (i, j, k) in chosen:
-                continue
-            if elig[i, j] and elig[i, k] and elig[j, k]:
-                chosen.add((i, j, k))
-        triples = [
-            (i, j, k, max(int(D[i, j]), int(D[i, k]), int(D[j, k])))
-            for i, j, k in sorted(chosen)
-        ]
+        return triples, "exhaustive"
+    if seed is None:
+        raise ValueError("random sampling needs an explicit seed")
+    rng = random.Random(seed)
+    chosen = set()
+    attempts = 0
+    while len(chosen) < sample_count and attempts < 200 * max(1, sample_count):
+        attempts += 1
+        picks = sorted(rng.sample(range(n), 3))
+        i, j, k = picks
+        if (i, j, k) in chosen:
+            continue
+        if elig[i, j] and elig[i, k] and elig[j, k]:
+            chosen.add((i, j, k))
+    triples = [
+        (i, j, k, max(int(D[i, j]), int(D[i, k]), int(D[j, k])))
+        for i, j, k in sorted(chosen)
+    ]
+    return triples, f"random(seed={seed}, count={sample_count})"
 
+
+def delta_estimate(
+    ball: CayleyBall,
+    sample_count: Optional[int] = None,
+    seed: Optional[int] = None,
+) -> ThinnessReport:
+    """Max triangle thinness over unclipped vertex triples.
+
+    Exhaustive by default; pass ``sample_count``/``seed`` for a seeded
+    random subset (whose maximum can only undershoot the exhaustive one).
+    Triangles that provably cannot beat the running maximum are skipped:
+    every point on a side is within half that side's length of a shared
+    corner, so thinness never exceeds half the longest side.  Raises
+    ``MemoryError`` before allocating when the ball's n-by-n arrays
+    cannot fit in physical memory.
+    """
+    if ball.radius < 2:
+        raise ValueError("delta estimation needs radius >= 2")
+    # D, then the int16 sum and the bool eligibility matrix of _triples.
+    check_memory(len(ball), 5, "delta estimation")
+    D = ball.distance_matrix()
+    triples, policy = _triples(ball, D, sample_count, seed)
     examined = len(triples)
     triples.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
-    dag_cache: dict[tuple[int, int], _SideDag] = {}
+    # (DAG nodes, adversary vector) per side, least recently used first.
+    sides: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+    cached_bytes = 0
 
-    def dag_of(a: int, b: int) -> _SideDag:
-        key = (a, b) if a <= b else (b, a)
-        dag = dag_cache.get(key)
-        if dag is None:
-            dag = _SideDag(ball, key[0], key[1], D)
-            dag_cache[key] = dag
-        return dag
+    def side(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal cached_bytes
+        entry = sides.get((a, b))
+        if entry is not None:
+            sides.move_to_end((a, b))
+        else:
+            dag = _SideDag(ball, a, b, D)
+            entry = sides[(a, b)] = (dag.nodes, _adversary_vector(dag, D))
+            cached_bytes += entry[0].nbytes + entry[1].nbytes
+            while cached_bytes > _SIDE_CACHE_BYTES:
+                nodes, vector = sides.popitem(last=False)[1]
+                cached_bytes -= nodes.nbytes + vector.nbytes
+        return entry
 
     best = 0
     best_triple = None
     for i, j, k, maxside in triples:
         if (maxside + 1) // 2 < best:
             continue
-        tri = (i, j, k)
-        dags = [dag_of(tri[ia], tri[ib]) for ia, ib, _ in _SIDES]
-        delta, _, _ = _evaluate(ball, tri, dags, D)
+        delta, _, _ = _evaluate([side(i, j), side(j, k), side(i, k)])
         if delta > best:
             best = delta
-            best_triple = tri
+            best_triple = (i, j, k)
     witness = None
     if best_triple is not None:
         best, witness = triangle_thinness(ball, *best_triple)

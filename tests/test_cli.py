@@ -185,3 +185,13 @@ def test_cli_matches_library(zz_file, capsys):
     assert words_equal(pres, u, v) is Tristate.EQUAL
     assert main(["equal", "--pres", zz_file, "aaabb", "ababa"]) == 0
     capsys.readouterr()
+
+
+def test_delta_too_large_for_memory_is_an_error_exit(zz_file, capsys, monkeypatch):
+    from groupgeom import cayley
+
+    monkeypatch.setattr(cayley, "physical_memory", lambda: 1_000)
+    assert main(["delta", "--pres", zz_file, "--radius", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: delta estimation of a 41-vertex ball needs about")

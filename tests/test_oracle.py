@@ -97,6 +97,52 @@ def test_canonical_form_budget_guard():
         canonical_form(SURF2, parse_word("ababab", SURF2), max_radius=2)
 
 
+def test_canonical_form_reuses_the_largest_ball(monkeypatch):
+    import random
+
+    from groupgeom import cayley, oracle
+    from groupgeom.dehn import dehn_reduce
+
+    rng = random.Random(11)
+    letters = SURF2.letters()
+    relator = SURF2.relators[0]
+
+    def short_word(limit):
+        return free_reduce(tuple(rng.choice(letters) for _ in range(rng.randint(0, limit))))
+
+    words = []
+    while len(words) < 200:
+        cut = rng.randrange(len(relator))
+        loop = relator[cut:] + relator[:cut]
+        word = multiply(short_word(3), loop if rng.random() < 0.5 else invert(loop), short_word(2))
+        if len(dehn_reduce(SURF2, word)[0]) <= 3:
+            words.append(word)
+    fresh = {r: cayley.build_ball(SURF2, r) for r in range(4)}
+
+    def fresh_answer(word):
+        reduced = dehn_reduce(SURF2, word)[0]
+        ball = fresh[len(reduced)]
+        return ball.vertices[ball.vertex_of(reduced)]
+
+    built = []
+    real_build = cayley.build_ball
+
+    def counting_build(presentation, radius, budget=None):
+        built.append(radius)
+        return real_build(presentation, radius, budget)
+
+    monkeypatch.setattr(oracle, "_canonical_balls", {})
+    monkeypatch.setattr(cayley, "build_ball", counting_build)
+    new_maxima = []
+    for word in words:
+        assert canonical_form(SURF2, word) == fresh_answer(word)
+        radius = len(dehn_reduce(SURF2, word)[0])
+        if not new_maxima or radius > new_maxima[-1]:
+            new_maxima.append(radius)
+    assert built == new_maxima
+    assert len(new_maxima) > 1
+
+
 def test_normal_form_on_every_reduced_word_up_to_six():
     letters = (1, -1, 2, -2)
     for n in range(7):

@@ -1,14 +1,34 @@
+import random
+from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from groupgeom import cayley, thinness
 from groupgeom.cayley import build_ball
-from groupgeom.thinness import delta_estimate, triangle_thinness
-from groupgeom.words import parse_word, standard_presentation
+from groupgeom.thinness import ThinnessWitness, delta_estimate, triangle_thinness
+from groupgeom.words import parse_presentation, parse_word, standard_presentation
 
 ZZ = standard_presentation("zz")
 F2 = standard_presentation("free", 2)
 SURF2 = standard_presentation("surface", 2)
+UNTAGGED_ZZ = parse_presentation("gens: a b\nrels: abAB\n")
+
+# The balls the array kernels are checked on against their references.
+KERNEL_CASES = (
+    [("zz", ZZ, r) for r in (2, 3, 4, 5)]
+    + [("surface2", SURF2, 2)]
+    + [("free2", F2, r) for r in (2, 3)]
+    + [("untagged-zz", UNTAGGED_ZZ, r) for r in (2, 3)]
+)
+KERNEL_IDS = [f"{name}-r{r}" for name, _, r in KERNEL_CASES]
+
+
+@lru_cache(maxsize=None)
+def _kernel_ball(index):
+    _, pres, r = KERNEL_CASES[index]
+    return build_ball(pres, r)
 
 
 def _brute_triangle_delta(ball, x, y, z):
@@ -163,3 +183,179 @@ def test_exhaustive_delta_deterministic():
         r2.witness,
         r2.triangles_examined,
     )
+
+
+def _reference_adversary_distances(dag, points, D):
+    """The per-triangle DP that ``thinness._adversary_vector`` replaced:
+    the same recurrence, restricted to ``points`` through ``np.ix_``."""
+    W = D[np.ix_(dag.nodes, points)].astype(np.int32)
+    M = np.empty_like(W)
+    for i in range(len(dag.nodes)):
+        if not dag.preds[i]:
+            M[i] = W[i]
+        else:
+            acc = M[dag.preds[i][0]]
+            for j in dag.preds[i][1:]:
+                acc = np.maximum(acc, M[j])
+            M[i] = np.minimum(W[i], acc)
+    return M[dag.pos[dag.b]]
+
+
+def _reference_evaluate(ball, tri, D):
+    """(delta, side index, point) through the reference DP."""
+    dags = [thinness._SideDag(ball, tri[ia], tri[ib], D) for ia, ib, _ in thinness._SIDES]
+    best = (-1, -1, -1)
+    for si in range(3):
+        points = dags[si].nodes
+        vals = np.minimum(
+            _reference_adversary_distances(dags[(si + 1) % 3], points, D),
+            _reference_adversary_distances(dags[(si + 2) % 3], points, D),
+        )
+        k = int(vals.argmax())
+        if int(vals[k]) > best[0]:
+            best = (int(vals[k]), si, int(points[k]))
+    return best, dags
+
+
+def _reference_triangle(ball, tri):
+    """``triangle_thinness`` (worst case) assembled from the reference DP."""
+    D = ball.distance_matrix()
+    (delta, si, p), dags = _reference_evaluate(ball, tri, D)
+    ia, ib, _ = thinness._SIDES[si]
+    paths = [None, None, None]
+    paths[si] = thinness._any_geodesic_through(ball, tri[ia], p, tri[ib], D)
+    others = [(si + 1) % 3, (si + 2) % 3]
+    for o in others:
+        paths[o] = thinness._adversary_path(dags[o], D[p])
+    q = min((v for o in others for v in paths[o]), key=lambda v: (D[p][v], v))
+    return delta, ThinnessWitness(tri, (tri[ia], tri[ib]), p, int(q), delta, tuple(paths))
+
+
+def _reference_scan(ball, sample_count=None, seed=None):
+    """Every examined triple with its reference thinness, in the order
+    ``delta_estimate`` visits them, and the sampling policy."""
+    D = ball.distance_matrix()
+    triples, policy = thinness._triples(ball, D, sample_count, seed)
+    order = sorted(triples, key=lambda t: (-t[3], t[0], t[1], t[2]))
+    return [(t, _reference_evaluate(ball, t[:3], D)[0][0]) for t in order], policy
+
+
+def _reference_report(ball, sample_count=None, seed=None):
+    scan, policy = _reference_scan(ball, sample_count, seed)
+    best = max((delta for _, delta in scan), default=0)
+    witness = None
+    if best > 0:
+        first = next(t for t, delta in scan if delta == best)
+        best, witness = _reference_triangle(ball, first[:3])
+    return thinness.ThinnessReport(best, witness, len(scan), policy)
+
+
+def _unclipped_pairs(ball):
+    D = ball.distance_matrix()
+    depth = np.asarray(ball.dist)
+    n = len(ball)
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if depth[a] + depth[b] + D[a, b] <= 2 * ball.radius
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
+def test_side_vector_matches_reference_dp(index):
+    ball = _kernel_ball(index)
+    D = ball.distance_matrix()
+    everywhere = np.arange(len(ball))
+    for a, b in _unclipped_pairs(ball):
+        dag = thinness._SideDag(ball, a, b, D)
+        vector = thinness._adversary_vector(dag, D)
+        assert vector.shape == (len(ball),)
+        assert np.array_equal(vector, _reference_adversary_distances(dag, everywhere, D))
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
+def test_delta_estimate_matches_reference(index):
+    ball = _kernel_ball(index)
+    assert delta_estimate(ball) == _reference_report(ball)
+    for seed in (1, 2):
+        assert delta_estimate(ball, sample_count=40, seed=seed) == _reference_report(
+            ball, sample_count=40, seed=seed
+        )
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
+def test_triangle_thinness_matches_reference(index):
+    ball = _kernel_ball(index)
+    triples, _ = thinness._triples(ball, ball.distance_matrix(), None, None)
+    rng = random.Random(index)
+    for i, j, k, _ in rng.sample(triples, min(60, len(triples))):
+        tri = tuple(rng.sample((i, j, k), 3))
+        assert triangle_thinness(ball, *tri) == _reference_triangle(ball, tri)
+
+
+@pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
+def test_distance_matrix_matches_per_vertex_bfs(index):
+    _, pres, r = KERNEL_CASES[index]
+    ball = build_ball(pres, r)
+    mat = ball.distance_matrix()
+    reference = np.array([ball._bfs(v) for v in range(len(ball))], dtype=np.int16)
+    assert mat.dtype == np.int16
+    assert np.array_equal(mat, reference)
+
+
+def _counting_side_dp(monkeypatch):
+    calls = []
+    real = thinness._adversary_vector
+
+    def counting(dag, D):
+        calls.append((dag.a, dag.b))
+        return real(dag, D)
+
+    monkeypatch.setattr(thinness, "_adversary_vector", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pres, radius", [(ZZ, 4), (F2, 3), (SURF2, 2)], ids=["zz-r4", "free2-r3", "surface2-r2"]
+)
+def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius):
+    ball = build_ball(pres, radius)
+    scan, _ = _reference_scan(ball)
+    used = set()
+    best = 0
+    for (i, j, k, maxside), delta in scan:
+        if (maxside + 1) // 2 < best:
+            continue
+        used |= {(i, j), (j, k), (i, k)}
+        best = max(best, delta)
+
+    calls = _counting_side_dp(monkeypatch)
+    report = delta_estimate(ball)
+    # triangle_thinness rebuilds the witness from its own three sides.
+    in_scan = calls[: len(calls) - (3 if report.witness else 0)]
+    assert len(in_scan) == len(used)
+    assert set(in_scan) == used
+
+
+@pytest.mark.parametrize("pres, radius", [(ZZ, 4), (SURF2, 2)], ids=["zz-r4", "surface2-r2"])
+def test_evicting_every_side_leaves_report_unchanged(monkeypatch, pres, radius):
+    ball = build_ball(pres, radius)
+    expected = delta_estimate(ball)
+    calls = _counting_side_dp(monkeypatch)
+    monkeypatch.setattr(thinness, "_SIDE_CACHE_BYTES", 1)
+    assert delta_estimate(ball) == expected
+    assert len(calls) > len(set(calls))
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(cayley, "physical_memory", lambda: 1_000)
+    ball = build_ball(ZZ, 4)
+    n = len(ball)
+    with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {5 * n * n:,} bytes"):
+        delta_estimate(ball)
+    with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {6 * n * n:,} bytes"):
+        ball.distance_matrix()
+    assert ball._matrix is None
+    monkeypatch.setattr(cayley, "physical_memory", lambda: 6 * n * n)
+    assert delta_estimate(ball).delta == 2
