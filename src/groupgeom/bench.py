@@ -19,6 +19,8 @@ from .words import Presentation, Word, shortlex_key
 
 SOLVERS = ("dehn", "zz-nf")
 SOURCES = ("worst", "random", "trivial")
+TRIALS = 5  # random words per size
+MAX_WORDS_PER_SIZE = 200  # trivial words per size
 
 
 @dataclass(frozen=True)
@@ -26,8 +28,6 @@ class WordSource:
     kind: str  # worst | random | trivial
     seed: Optional[int] = None
     insertions: int = 3
-    trials: int = 5
-    max_words_per_size: int = 200
 
     def __post_init__(self):
         if self.kind not in SOURCES:
@@ -111,9 +111,9 @@ def run_bench(
             words = [_worst_case_word(n)]
         elif source.kind == "random":
             rng = random.Random(f"{source.seed}:{n}")
-            words = [_random_reduced_word(rng, presentation, n) for _ in range(source.trials)]
+            words = [_random_reduced_word(rng, presentation, n) for _ in range(TRIALS)]
         else:
-            words = trivial.get(n, [])[: source.max_words_per_size]
+            words = trivial.get(n, [])[:MAX_WORDS_PER_SIZE]
         if not words:
             continue
         worst = 0

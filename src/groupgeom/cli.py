@@ -149,16 +149,15 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    pres = _load_presentation(args.pres) if hasattr(args, "pres") else None
 
     if cmd == "reduce":
-        pres = _load_presentation(args.pres)
         word = parse_word(args.word, pres)
         reduced, trace = dehn_reduce(pres, word)
         print(f"{format_word(reduced, pres)} steps={trace.step_count}")
         return 0
 
     if cmd == "equal":
-        pres = _load_presentation(args.pres)
         u = parse_word(args.u, pres)
         v = parse_word(args.v, pres)
         budget = OracleBudget(args.max_area, args.max_len)
@@ -173,13 +172,11 @@ def _dispatch(args) -> int:
         return 2
 
     if cmd == "normal-form":
-        pres = _load_presentation(args.pres)
         word = parse_word(args.word, pres)
         print(format_word(canonical_form(pres, word, args.max_radius), pres))
         return 0
 
     if cmd == "verify-dehn":
-        pres = _load_presentation(args.pres)
         verdict = verify_dehn_presentation(pres, args.insertions, args.max_len)
         if verdict.holds:
             print(f"PASS words-checked={verdict.words_checked}")
@@ -188,7 +185,6 @@ def _dispatch(args) -> int:
         return 1
 
     if cmd == "ball":
-        pres = _load_presentation(args.pres)
         ball = build_ball(pres, args.radius)
         text = json.dumps(_ball_payload(pres, ball)) + "\n"
         if args.out:
@@ -198,7 +194,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "delta":
-        pres = _load_presentation(args.pres)
         if args.sample is not None and args.seed is None:
             raise ValueError("--sample needs an explicit --seed")
         ball = build_ball(pres, args.radius)
@@ -233,7 +228,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "area":
-        pres = _load_presentation(args.pres)
         word = parse_word(args.word, pres)
         max_len = args.max_len
         if max_len is None:
@@ -246,7 +240,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "dehn-function":
-        pres = _load_presentation(args.pres)
         max_len = args.max_len
         if max_len is None:
             max_len = default_caps(pres, args.n).max_intermediate_length
@@ -277,7 +270,6 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "qi":
-        pres = _load_presentation(args.pres)
         gens_b = [parse_word(w.strip(), pres) for w in args.gens_b.split(",") if w.strip()]
         gens_a = None
         if args.gens_a:
@@ -297,7 +289,6 @@ def _dispatch(args) -> int:
         return 0 if survey.passed else 1
 
     if cmd == "bench":
-        pres = _load_presentation(args.pres)
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         source = WordSource(args.source, seed=args.seed, insertions=args.insertions)
         table = run_bench(pres, args.solver, sizes, source)

@@ -135,9 +135,9 @@ def verify_dehn_presentation(
 ) -> DehnVerdict:
     """Check that greedy rewriting kills every budgeted identity word.
 
-    Candidates come from relator-insertion products; for families with an
-    independent exact equality test (free, zz) the candidate set is
-    widened to every identity word up to ``max_length``, which catches
+    Candidates come from relator-insertion products; for presentations
+    with a normal form (an independent exact equality test) the candidate
+    set is widened to every identity word up to ``max_length``, which catches
     failures that no short product of relator conjugates exhibits.
     """
     if max_insertions < 1:

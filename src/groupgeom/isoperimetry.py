@@ -29,6 +29,10 @@ from .words import (
 )
 
 
+# Most words one area search may hold; its memory stays in tens of MB.
+_MAX_STATES = 20_000
+
+
 @dataclass(frozen=True)
 class AreaCaps:
     max_area: int
@@ -45,7 +49,7 @@ class AreaMove:
 
 @dataclass(frozen=True)
 class AreaResult:
-    value: Optional[int]  # None means the caps ran out before an answer
+    value: Optional[int]  # None: the caps or the state budget ran out first
     caps: AreaCaps
     moves: Optional[tuple[AreaMove, ...]]
 
@@ -167,8 +171,10 @@ def _neighbors(word: Word, members, max_length: int):
 def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None) -> AreaResult:
     """Minimal relator-move count rewriting ``word`` to the empty word.
 
-    Unknown (value None) when no derivation exists within the caps; the
-    move path comes back on success and replays move by move.
+    Unknown (value None) when no derivation exists within the caps, or
+    when the search holds more than ``_MAX_STATES`` words (without a
+    pairing-form bound it is blind, and grows exponentially under the
+    caps); the move path comes back on success and replays move by move.
     """
     presentation.check_word(word)
     if caps is None:
@@ -201,9 +207,9 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     best = {start: 0}
     parent: dict[Word, tuple[Word, AreaMove]] = {}
     while heap:
-        f, _, _, _, w = heapq.heappop(heap)
+        f, h, _, _, w = heapq.heappop(heap)
         g = best[w]
-        if f > g + _heuristic(w, forms):
+        if f > g + h:
             continue  # stale entry
         if w == EMPTY:
             moves = []
@@ -224,6 +230,8 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
             if ng + nh > caps.max_area:
                 continue
             best[nxt] = ng
+            if len(best) > _MAX_STATES:
+                return AreaResult(None, caps, None)
             parent[nxt] = (w, AreaMove(pos, w[pos : pos + cut], repl, rho))
             counter += 1
             heapq.heappush(heap, (ng + nh, nh, len(nxt), counter, nxt))
@@ -273,27 +281,22 @@ def dehn_function(
         caps = default_caps(presentation, n_max)
     words = _closed_reduced_words(presentation, n_max)
     words.sort(key=shortlex_key)
-    areas: list[tuple[Word, int]] = []
-    for w in words:
-        result = area(presentation, w, caps)
-        if result.value is None:
-            raise RuntimeError(
-                f"area caps {caps} exhausted on a length-{len(w)} word; raise max_area"
-            )
-        areas.append((w, result.value))
     rows = []
     best_area = 0
     best_word: Word = EMPTY
-    examined = 0
     idx = 0
     for n in range(2, n_max + 1, 2):
-        while idx < len(areas) and len(areas[idx][0]) <= n:
-            w, val = areas[idx]
-            examined += 1
-            if val > best_area:
-                best_area, best_word = val, w
+        while idx < len(words) and len(words[idx]) <= n:
+            w = words[idx]
+            value = area(presentation, w, caps).value
+            if value is None:
+                raise RuntimeError(
+                    f"area caps {caps} or state budget exhausted on a length-{len(w)} word"
+                )
+            if value > best_area:
+                best_area, best_word = value, w
             idx += 1
-        rows.append(DehnRow(n, best_area, best_word, examined))
+        rows.append(DehnRow(n, best_area, best_word, idx))
     return DehnTable(tuple(rows), caps)
 
 
@@ -327,8 +330,6 @@ def fit_growth(table) -> GrowthClass:
 
 
 def _extract_rows(table) -> list[tuple[int, int]]:
-    if isinstance(table, DehnTable):
-        return [(row.n, row.max_area) for row in table.rows]
     rows = getattr(table, "rows", table)
     out = []
     for row in rows:

@@ -2,10 +2,12 @@
 
 Family-built presentations get exact strategies (normal forms for the
 free and commuting families, greedy rewriting for surface groups, whose
-reliability ``verify_dehn_presentation`` checks).  Arbitrary presentations
-get a sound but incomplete strategy: an abelianized certificate for
-"different" and a budgeted minimal-rewrite search for "equal", with
-Unknown when the budget runs out.  A definite answer is never wrong.
+reliability ``verify_dehn_presentation`` checks).  Presentations with a
+normal form also get every identity word up to a length.  Arbitrary
+presentations get a sound but incomplete strategy: an abelianized
+certificate for "different" and a budgeted minimal-rewrite search for
+"equal", with Unknown when the budget runs out.  A definite answer is
+never wrong.
 """
 
 from __future__ import annotations
@@ -210,33 +212,10 @@ def generate_null_homotopic(
 def exhaustive_identity_words(
     presentation: Presentation, max_length: int
 ) -> Optional[tuple[Word, ...]]:
-    """Every identity word up to ``max_length`` for exactly decidable
-    families (free, zz); None where no independent exact test exists."""
-    family = presentation.family
-    if family == "free":
-        return (EMPTY,)
-    if family != "zz":
+    """Every identity word up to ``max_length`` for presentations with a
+    normal form (an independent exact test); None for every other one."""
+    if normal_form(presentation, EMPTY) is None:
         return None
-    out: list[Word] = []
-    word: list[int] = []
+    from .isoperimetry import _closed_reduced_words
 
-    def rec(na: int, nb: int):
-        depth = len(word)
-        if abs(na) + abs(nb) > max_length - depth:
-            return
-        if na == 0 and nb == 0:
-            out.append(tuple(word))
-        if depth == max_length:
-            return
-        last = word[-1] if word else 0
-        for letter in (1, -1, 2, -2):
-            if letter == -last:
-                continue
-            word.append(letter)
-            da = 1 if letter == 1 else (-1 if letter == -1 else 0)
-            db = 1 if letter == 2 else (-1 if letter == -2 else 0)
-            rec(na + da, nb + db)
-            word.pop()
-
-    rec(0, 0)
-    return tuple(sorted(out, key=shortlex_key))
+    return (EMPTY, *sorted(_closed_reduced_words(presentation, max_length), key=shortlex_key))

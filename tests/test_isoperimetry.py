@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from groupgeom.dehn import dehn_reduce
 from groupgeom.isoperimetry import (
     AreaCaps,
+    DehnRow,
     area,
+    default_caps,
     dehn_function,
     fit_growth,
+    _closed_reduced_words,
     _winding_mass,
 )
 from groupgeom.oracle import generate_null_homotopic
@@ -19,6 +27,7 @@ from groupgeom.words import (
     multiply,
     parse_word,
     rotations,
+    shortlex_key,
     standard_presentation,
     symmetrize,
 )
@@ -140,6 +149,76 @@ def test_dehn_function_zz_small():
     assert values == sorted(values)
     examined = [row.words_examined for row in table.rows]
     assert examined == sorted(examined)
+
+
+def _two_pass_dehn_function(presentation, n_max, caps=None):
+    """Two-pass reference: every area first, then a second walk for the rows."""
+    if caps is None:
+        caps = default_caps(presentation, n_max)
+    words = sorted(_closed_reduced_words(presentation, n_max), key=shortlex_key)
+    areas = [(x, area(presentation, x, caps).value) for x in words]
+    assert all(value is not None for _, value in areas)
+    rows = []
+    best_area, best_word, idx = 0, EMPTY, 0
+    for n in range(2, n_max + 1, 2):
+        while idx < len(areas) and len(areas[idx][0]) <= n:
+            x, value = areas[idx]
+            if value > best_area:
+                best_area, best_word = value, x
+            idx += 1
+        rows.append(DehnRow(n, best_area, best_word, idx))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "pres, n_max, caps",
+    [
+        (ZZ, 8, AreaCaps(20, 40)),
+        (ZZ, 9, AreaCaps(20, 40)),
+        (ZZ, 10, AreaCaps(20, 40)),
+        (SURF2, 8, AreaCaps(8, 24)),
+        (F2, 8, None),
+    ],
+)
+def test_dehn_function_matches_two_pass_reference(pres, n_max, caps):
+    table = dehn_function(pres, n_max, caps)
+    expected = _two_pass_dehn_function(pres, n_max, caps)
+    assert [(r.n, r.max_area, r.argmax, r.words_examined) for r in table.rows] == [
+        (r.n, r.max_area, r.argmax, r.words_examined) for r in expected
+    ]
+
+
+_BLIND_SEARCHES = textwrap.dedent(
+    """
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from groupgeom.isoperimetry import AreaCaps, area
+    from groupgeom.oracle import OracleBudget, words_equal
+    from groupgeom.words import Presentation, parse_word
+
+    abc = Presentation(("a", "b", "c"), ((1, 2, -1, -2), (1, 1, 3, -2, 3), (3, 3, 3)))
+    print(words_equal(abc, parse_word("Baca", abc), parse_word("C", abc), OracleBudget(6, 16)).value)
+    torsion = Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2)))
+    print(area(torsion, parse_word("bAbAAA", torsion), AreaCaps(6, 14)).value)
+    """
+)
+
+
+def test_blind_area_search_declines_within_its_state_budget():
+    # Relators with nonzero exponent sums leave A* without a pairing-form
+    # bound, so only the state budget keeps these two searches small.  The
+    # child runs under a 1 GB address-space limit, so a regression fails
+    # here instead of swapping.
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", _BLIND_SEARCHES],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["unknown", "None"]
 
 
 def test_dehn_function_free_all_zero():

@@ -186,14 +186,14 @@ def test_generate_free_is_trivial():
 def test_exhaustive_identity_words_families():
     assert exhaustive_identity_words(F2, 8) == (EMPTY,)
     assert exhaustive_identity_words(SURF2, 8) is None
-    zz_words = exhaustive_identity_words(ZZ, 4)
+    zz_words = exhaustive_identity_words(ZZ, 8)
     assert EMPTY in zz_words
     assert w("abAB") in zz_words
     assert all(zz_normal_form(x)[:2] == (0, 0) for x in zz_words)
-    # every balanced reduced word of length <= 4 appears
+    # every balanced reduced word of length <= 8 appears
     brute = {EMPTY}
     letters = (1, -1, 2, -2)
-    for n in (2, 4):
+    for n in (2, 4, 6, 8):
         for combo in product(letters, repeat=n):
             word = combo
             if any(word[i] == -word[i + 1] for i in range(n - 1)):
@@ -201,6 +201,7 @@ def test_exhaustive_identity_words_families():
             if zz_normal_form(word)[:2] == (0, 0):
                 brute.add(word)
     assert set(zz_words) == brute
+    assert len(zz_words) == len(brute) == 361
 
 
 def test_soundness_on_certified_closure():
