@@ -241,9 +241,12 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
 def _closed_reduced_words(presentation: Presentation, n_max: int):
     """Identity words of length <= n_max, as closed label-nonbacktracking
     walks in a radius-(n_max // 2) ball; any prefix of such a word stays
-    within min(k, n - k) of the start, so the ball suffices."""
+    within min(k, n - k) of the start, so the ball suffices.  Without
+    relators the Cayley graph is a tree and has none."""
     from .cayley import build_ball
 
+    if not presentation.relators:
+        return []
     ball = build_ball(presentation, n_max // 2)
     letters_of = [
         sorted(ball.adjacency[v].items(), key=lambda kv: (abs(kv[0]), kv[0] < 0))

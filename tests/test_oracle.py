@@ -204,6 +204,20 @@ def test_exhaustive_identity_words_families():
     assert len(zz_words) == len(brute) == 361
 
 
+def test_exhaustive_identity_words_free_builds_no_ball(monkeypatch):
+    from groupgeom import cayley
+    from groupgeom.dehn import verify_dehn_presentation
+
+    # a free group's Cayley graph is a tree: nothing to enumerate, no ball
+    def no_build(presentation, radius, budget=None):
+        raise AssertionError(f"built a radius-{radius} ball")
+
+    monkeypatch.setattr(cayley, "build_ball", no_build)
+    assert exhaustive_identity_words(F2, 40) == (EMPTY,)
+    assert exhaustive_identity_words(standard_presentation("free", 26), 40) == (EMPTY,)
+    assert verify_dehn_presentation(F2, 1, 40).holds
+
+
 def test_soundness_on_certified_closure():
     budget = OracleBudget(8, 24)
     for word in generate_null_homotopic(ZZ, 2, 8):
