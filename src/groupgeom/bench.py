@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .dehn import dehn_reduce, zz_normal_form
 from .oracle import generate_null_homotopic
-from .words import Presentation, Word, shortlex_key
+from .words import Presentation, Word
 
 SOLVERS = ("dehn", "zz-nf")
 SOURCES = ("worst", "random", "trivial")
@@ -82,8 +82,6 @@ def _trivial_pool(presentation: Presentation, insertions: int, max_length: int):
     for w in pool:
         if w:
             by_length.setdefault(len(w), []).append(w)
-    for group in by_length.values():
-        group.sort(key=shortlex_key)
     return by_length
 
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for success (EQUAL / PASS), 1 for a definite negative
-(NOT-EQUAL / FAIL / counterexample found), 2 for Unknown or a usage
-error.  Usage and parse errors go to stderr.
+(NOT-EQUAL / FAIL / counterexample found), 2 for Unknown, an undecided
+computation or a usage error.  Usage and parse errors go to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .cayley import build_ball
 from .dehn import dehn_reduce, verify_dehn_presentation
 from .hplane import THINNESS_BOUND, verify_thinness_bound
 from .isoperimetry import AreaCaps, area, default_caps, dehn_function, fit_growth
-from .oracle import OracleBudget, Tristate, canonical_form, words_equal
+from .oracle import OracleBudget, Tristate, UndecidedError, canonical_form, words_equal
 from .qi import compare_metrics
 from .thinness import delta_estimate
 from .words import (
@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_pres(sub.add_parser("equal", help="decide whether two words agree"))
     p.add_argument("u")
     p.add_argument("v")
-    p.add_argument("--max-area", type=int, default=8)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--max-area", type=int, default=OracleBudget.max_area)
+    p.add_argument("--max-len", type=int, default=OracleBudget.max_search_length)
 
     p = with_pres(sub.add_parser("normal-form", help="canonical spelling of a word"))
     p.add_argument("word")
@@ -79,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_pres(sub.add_parser("area", help="minimal relator applications to kill a word"))
     p.add_argument("word")
-    p.add_argument("--max-area", type=int, default=16)
+    p.add_argument("--max-area", type=int)
     p.add_argument("--max-len", type=int)
 
     p = with_pres(sub.add_parser("dehn-function", help="filling areas by word length (CSV)"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-area", type=int, default=16)
+    p.add_argument("--max-area", type=int)
     p.add_argument("--max-len", type=int)
 
     p = sub.add_parser("fit", help="classify growth of a CSV table (n,value)")
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated lengths, e.g. 4,8,12")
     p.add_argument("--source", choices=["worst", "random", "trivial"], required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--insertions", type=int, default=3)
+    p.add_argument("--insertions", type=int, default=WordSource.insertions)
 
     p = sub.add_parser("pres", help="write a standard presentation file")
     p.add_argument("--family", choices=["free", "zz", "surface"], required=True)
@@ -134,6 +134,18 @@ def _ball_payload(pres, ball) -> dict:
     }
 
 
+def _area_caps(args, pres, length: int) -> AreaCaps:
+    """``--max-area`` and ``--max-len``, each defaulting to ``default_caps``."""
+    caps = default_caps(pres, length)
+    return AreaCaps(
+        caps.max_area if args.max_area is None else args.max_area,
+        caps.max_intermediate_length if args.max_len is None else args.max_len,
+    )
+
+
+_EQUAL_EXIT = {Tristate.EQUAL: 0, Tristate.NOT_EQUAL: 1, Tristate.UNKNOWN: 2}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -142,7 +154,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, ValueError, MemoryError) as exc:
+    except (ParseError, ValueError, MemoryError, UndecidedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -160,16 +172,9 @@ def _dispatch(args) -> int:
     if cmd == "equal":
         u = parse_word(args.u, pres)
         v = parse_word(args.v, pres)
-        budget = OracleBudget(args.max_area, args.max_len)
-        answer = words_equal(pres, u, v, budget)
-        if answer is Tristate.EQUAL:
-            print("EQUAL")
-            return 0
-        if answer is Tristate.NOT_EQUAL:
-            print("NOT-EQUAL")
-            return 1
-        print("UNKNOWN")
-        return 2
+        answer = words_equal(pres, u, v, OracleBudget(args.max_area, args.max_len))
+        print(answer.value.upper())
+        return _EQUAL_EXIT[answer]
 
     if cmd == "normal-form":
         word = parse_word(args.word, pres)
@@ -198,8 +203,12 @@ def _dispatch(args) -> int:
             raise ValueError("--sample needs an explicit --seed")
         ball = build_ball(pres, args.radius)
         report = delta_estimate(ball, sample_count=args.sample, seed=args.seed)
+        wit = report.witness
+
+        def vertex(i: int) -> str:
+            return format_word(ball.vertices[i], pres)
+
         if args.json:
-            wit = report.witness
             payload = {
                 "delta": report.delta,
                 "trianglesExamined": report.triangles_examined,
@@ -207,32 +216,24 @@ def _dispatch(args) -> int:
                 "witness": None
                 if wit is None
                 else {
-                    "triangle": [format_word(ball.vertices[i], pres) for i in wit.triangle],
-                    "point": format_word(ball.vertices[wit.point], pres),
-                    "nearest": format_word(ball.vertices[wit.nearest], pres),
+                    "triangle": [vertex(i) for i in wit.triangle],
+                    "point": vertex(wit.point),
+                    "nearest": vertex(wit.nearest),
                     "distance": wit.distance,
                 },
             }
             print(json.dumps(payload))
         else:
             line = f"delta={report.delta} triangles={report.triangles_examined}"
-            if report.witness is not None:
-                wit = report.witness
-                tri = ",".join(format_word(ball.vertices[i], pres) for i in wit.triangle)
-                line += (
-                    f" witness-triangle=({tri})"
-                    f" p={format_word(ball.vertices[wit.point], pres)}"
-                    f" q={format_word(ball.vertices[wit.nearest], pres)}"
-                )
+            if wit is not None:
+                tri = ",".join(vertex(i) for i in wit.triangle)
+                line += f" witness-triangle=({tri}) p={vertex(wit.point)} q={vertex(wit.nearest)}"
             print(line)
         return 0
 
     if cmd == "area":
         word = parse_word(args.word, pres)
-        max_len = args.max_len
-        if max_len is None:
-            max_len = default_caps(pres, len(word)).max_intermediate_length
-        result = area(pres, word, AreaCaps(args.max_area, max_len))
+        result = area(pres, word, _area_caps(args, pres, len(word)))
         if result.value is None:
             print("UNKNOWN")
             return 2
@@ -240,10 +241,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "dehn-function":
-        max_len = args.max_len
-        if max_len is None:
-            max_len = default_caps(pres, args.n).max_intermediate_length
-        table = dehn_function(pres, args.n, AreaCaps(args.max_area, max_len))
+        table = dehn_function(pres, args.n, _area_caps(args, pres, args.n))
         print("n,maxArea,argmax")
         for row in table.rows:
             print(f"{row.n},{row.max_area},{format_word(row.argmax, pres)}")

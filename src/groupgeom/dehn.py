@@ -24,7 +24,6 @@ from .words import (
     Word,
     free_reduce,
     reduce_onto,
-    shortlex_key,
     symmetrize,
 )
 
@@ -135,25 +134,23 @@ def verify_dehn_presentation(
 ) -> DehnVerdict:
     """Check that greedy rewriting kills every budgeted identity word.
 
-    Candidates come from relator-insertion products; for presentations
-    with a normal form (an independent exact equality test) the candidate
-    set is widened to every identity word up to ``max_length``, which catches
-    failures that no short product of relator conjugates exhibits.
+    Candidates are the relator-insertion products of up to
+    ``max_insertions`` relators.  For presentations with a normal form (an
+    independent exact equality test) every identity word up to
+    ``max_length`` replaces them; it contains every product, so there
+    ``max_insertions`` does not widen the check.  That set catches failures
+    that no short product of relator conjugates exhibits.
     """
     if max_insertions < 1:
         raise ValueError("max_insertions must be >= 1")
     from .oracle import exhaustive_identity_words, generate_null_homotopic
 
-    candidates = set(generate_null_homotopic(presentation, max_insertions, max_length))
-    extra = exhaustive_identity_words(presentation, max_length)
-    if extra is not None:
-        candidates.update(extra)
-    checked = 0
-    for w in sorted(candidates, key=shortlex_key):
-        if not w:
-            continue
-        checked += 1
+    candidates = exhaustive_identity_words(presentation, max_length)
+    if candidates is None:
+        candidates = generate_null_homotopic(presentation, max_insertions, max_length)
+    # Both sources are shortlex-sorted and start with the empty word.
+    for checked, w in enumerate(candidates[1:], 1):
         reduced, _ = dehn_reduce(presentation, w)
         if reduced != EMPTY:
             return DehnVerdict(False, w, checked, max_insertions, max_length)
-    return DehnVerdict(True, None, checked, max_insertions, max_length)
+    return DehnVerdict(True, None, len(candidates) - 1, max_insertions, max_length)

@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
+from .oracle import UndecidedError, abelian_residue, exponent_vector
 from .words import (
     EMPTY,
     Presentation,
@@ -119,8 +120,6 @@ def _pairing_forms(presentation: Presentation) -> tuple[tuple[int, int, int], ..
     """(x, y, scale) triples usable as admissible lower bounds; empty when
     some relator has a nonzero exponent sum (the winding profile is then
     not a loop and its move increment is not controlled)."""
-    from .oracle import exponent_vector
-
     rank = presentation.rank
     for rel in presentation.relators:
         if any(exponent_vector(rel, rank)):
@@ -185,8 +184,6 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     members = symmetrize(presentation).members
     if not members:
         return AreaResult(None, caps, None)
-    from .oracle import abelian_residue
-
     if any(abelian_residue(presentation, start)):
         # Moves preserve the abelianized residue and the empty word has
         # residue zero, so no derivation exists at any cap.
@@ -239,10 +236,10 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
 
 
 def _closed_reduced_words(presentation: Presentation, n_max: int):
-    """Identity words of length <= n_max, as closed label-nonbacktracking
-    walks in a radius-(n_max // 2) ball; any prefix of such a word stays
-    within min(k, n - k) of the start, so the ball suffices.  Without
-    relators the Cayley graph is a tree and has none."""
+    """Identity words of length <= n_max, shortlex-sorted, as closed
+    label-nonbacktracking walks in a radius-(n_max // 2) ball; any prefix
+    of such a word stays within min(k, n - k) of the start, so the ball
+    suffices.  Without relators the Cayley graph is a tree and has none."""
     from .cayley import build_ball
 
     if not presentation.relators:
@@ -273,17 +270,18 @@ def _closed_reduced_words(presentation: Presentation, n_max: int):
             word.pop()
 
     rec(0)
+    out.sort(key=shortlex_key)
     return out
 
 
 def dehn_function(
     presentation: Presentation, n_max: int, caps: Optional[AreaCaps] = None
 ) -> DehnTable:
-    """Worst-case area over identity words of length <= n, per even n."""
+    """Worst-case area over identity words of length <= n, per even n;
+    raises ``UndecidedError`` when the caps or the state budget run out."""
     if caps is None:
         caps = default_caps(presentation, n_max)
     words = _closed_reduced_words(presentation, n_max)
-    words.sort(key=shortlex_key)
     rows = []
     best_area = 0
     best_word: Word = EMPTY
@@ -293,7 +291,7 @@ def dehn_function(
             w = words[idx]
             value = area(presentation, w, caps).value
             if value is None:
-                raise RuntimeError(
+                raise UndecidedError(
                     f"area caps {caps} or state budget exhausted on a length-{len(w)} word"
                 )
             if value > best_area:

@@ -213,9 +213,12 @@ def exhaustive_identity_words(
     presentation: Presentation, max_length: int
 ) -> Optional[tuple[Word, ...]]:
     """Every identity word up to ``max_length`` for presentations with a
-    normal form (an independent exact test); None for every other one."""
+    normal form (an independent exact test); None for every other one.
+    Returned shortlex-sorted, starting with the empty word."""
     if normal_form(presentation, EMPTY) is None:
         return None
+    if max_length < 0:
+        raise ValueError("budgets must be nonnegative")
     from .isoperimetry import _closed_reduced_words
 
-    return (EMPTY, *sorted(_closed_reduced_words(presentation, max_length), key=shortlex_key))
+    return (EMPTY, *_closed_reduced_words(presentation, max_length))

@@ -195,3 +195,27 @@ def test_delta_too_large_for_memory_is_an_error_exit(zz_file, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: delta estimation of a 41-vertex ball needs about")
+
+
+def _assert_undecided_exit(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_normal_form_over_radius_budget_is_undecided(surf_file, capsys):
+    _assert_undecided_exit(["normal-form", "--pres", surf_file, "abababababab"], capsys)
+
+
+def test_dehn_function_with_exhausted_caps_is_undecided(tmp_path, capsys):
+    path = tmp_path / "generic-zz.grp"
+    path.write_text("gens: a b\nrels: abAB\n")
+    argv = ["dehn-function", "--pres", str(path), "--n", "8", "--max-area", "2"]
+    _assert_undecided_exit(argv, capsys)
+
+
+def test_ball_with_unknown_dedup_is_undecided(tmp_path, capsys):
+    path = tmp_path / "t.grp"
+    path.write_text("gens: a b\nrels: aaa\nrels: bb\nrels: abab\n")
+    _assert_undecided_exit(["ball", "--pres", str(path), "--radius", "2"], capsys)

@@ -3,12 +3,14 @@ from hypothesis import given, strategies as st
 
 from groupgeom.dehn import (
     DehnStep,
+    DehnVerdict,
     dehn_reduce,
     find_majority_subword,
     verify_dehn_presentation,
     zz_normal_form,
 )
 from groupgeom.isoperimetry import fit_growth
+from groupgeom.oracle import exhaustive_identity_words, generate_null_homotopic
 from groupgeom.words import (
     EMPTY,
     Presentation,
@@ -17,6 +19,7 @@ from groupgeom.words import (
     multiply,
     parse_word,
     reduce_onto,
+    shortlex_key,
     standard_presentation,
     symmetrize,
 )
@@ -144,6 +147,54 @@ def test_verify_free_checks_nothing():
 def test_verify_rejects_zero_insertions():
     with pytest.raises(ValueError):
         verify_dehn_presentation(ZZ, 0, 8)
+
+
+def _union_reference(presentation, max_insertions, max_length):
+    """The union-and-sort loop verify_dehn_presentation ran over both
+    identity-word sources before it checked one of them."""
+    candidates = set(generate_null_homotopic(presentation, max_insertions, max_length))
+    extra = exhaustive_identity_words(presentation, max_length)
+    if extra is not None:
+        candidates.update(extra)
+    checked = 0
+    for w in sorted(candidates, key=shortlex_key):
+        if not w:
+            continue
+        checked += 1
+        reduced, _ = dehn_reduce(presentation, w)
+        if reduced != EMPTY:
+            return DehnVerdict(False, w, checked, max_insertions, max_length)
+    return DehnVerdict(True, None, checked, max_insertions, max_length)
+
+
+@pytest.mark.parametrize(
+    "name, max_insertions, max_length",
+    [
+        ("zz", 1, 4),
+        ("zz", 2, 8),
+        ("zz", 3, 10),
+        ("zz", 4, 12),
+        ("free", 1, 8),
+        ("free", 3, 12),
+        ("surface", 2, 12),
+        ("untagged zz", 2, 8),
+        ("torsion", 2, 8),
+    ],
+)
+def test_verify_matches_union_reference(name, max_insertions, max_length):
+    pres = F2 if name == "free" else PRESENTATIONS[name]
+    assert verify_dehn_presentation(pres, max_insertions, max_length) == _union_reference(
+        pres, max_insertions, max_length
+    )
+
+
+@pytest.mark.parametrize("pres", [ZZ, F2], ids=["zz", "free"])
+def test_insertion_products_lie_in_the_exhaustive_set(pres):
+    # verify_dehn_presentation checks only the exhaustive set where it exists.
+    for n in range(11):
+        exhaustive = set(exhaustive_identity_words(pres, n))
+        for k in range(4):
+            assert set(generate_null_homotopic(pres, k, n)) <= exhaustive
 
 
 def test_dehn_reduce_element_confirmed_by_generic_oracle():

@@ -1,0 +1,39 @@
+"""Every name a library module imports is used in that module.
+
+The package re-exports names through ``__init__.py``, which is excluded.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import groupgeom
+
+MODULES = sorted(
+    p for p in Path(groupgeom.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_an_unused_import():
+    source = "from .words import EMPTY, shortlex_key\nimport os\n\nx = EMPTY\n"
+    assert _unused_imports(source) == ["shortlex_key (line 1)", "os (line 2)"]

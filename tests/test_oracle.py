@@ -204,6 +204,13 @@ def test_exhaustive_identity_words_families():
     assert len(zz_words) == len(brute) == 361
 
 
+def test_exhaustive_identity_words_rejects_negative_length():
+    for pres in (F2, ZZ):
+        with pytest.raises(ValueError, match="budgets must be nonnegative"):
+            exhaustive_identity_words(pres, -1)
+    assert exhaustive_identity_words(SURF2, -1) is None
+
+
 def test_exhaustive_identity_words_free_builds_no_ball(monkeypatch):
     from groupgeom import cayley
     from groupgeom.dehn import verify_dehn_presentation
