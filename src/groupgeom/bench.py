@@ -98,6 +98,8 @@ def run_bench(
         raise ValueError("the normal-form solver only applies to two-generator words")
     if source.kind == "worst" and presentation.rank < 2:
         raise ValueError("the worst-case family needs two generators")
+    if not sizes or min(sizes) < 0:
+        raise ValueError(f"sizes must be nonempty and nonnegative, got {list(sizes)}")
 
     trivial = None
     if source.kind == "trivial":

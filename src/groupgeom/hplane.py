@@ -227,6 +227,10 @@ def verify_thinness_bound(
     count: int, seed: int, diameter: float = 25.0, samples_per_side: int = 48
 ) -> ThinnessSurvey:
     """Measure every sampled triangle against the universal thinness bound."""
+    if count < 1:
+        raise ValueError(f"triangle count must be at least 1, got {count}")
+    if not 0.0 <= diameter < math.inf:
+        raise ValueError(f"diameter must be finite and nonnegative, got {diameter}")
     worst = 0.0
     for a, b, c in random_triangles(count, seed, diameter):
         report = h_triangle_thinness(a, b, c, samples_per_side)

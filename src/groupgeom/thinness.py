@@ -8,9 +8,11 @@ directions), each side is handled through its shortest-path DAG: the set
 of vertices lying on any geodesic gives the candidate points p, and the
 adversary's "farthest geodesic" distance is a bottleneck max-min dynamic
 program over the DAG, which computes the exact maximum over all choices.
-The program runs once per side, vectorized over every ball vertex, so its
-result (the side's adversary vector) serves every triangle that shares
-the side: a triangle then costs one lookup per side and point.
+One pass per side finds its predecessors and runs the program,
+vectorized over every ball vertex, so its last row (the side's adversary
+vector) serves every triangle that shares the side: a triangle then
+costs one lookup per side and point.  The witness geodesics are drawn
+by one greedy walker that steps toward an endpoint along the DAG.
 """
 
 from __future__ import annotations
@@ -47,88 +49,46 @@ class ThinnessReport:
     sampling_policy: str
 
 
-class _SideDag:
-    """Shortest-path DAG between two ball vertices.
+def _side(
+    ball: CayleyBall, a: int, b: int, D: np.ndarray
+) -> tuple[np.ndarray, dict[int, int], np.ndarray]:
+    """``(nodes, row, M)`` for the side from ``a`` to ``b``.
 
-    ``nodes`` lists every vertex on some geodesic, topologically ordered
-    by distance from ``a``; ``preds[i]`` are node positions one step
-    closer to ``a``.
+    ``nodes`` lists every vertex on some geodesic, ordered by distance
+    from ``a``, and ``row`` maps a vertex to its index.  ``M[i]`` holds,
+    for every ball vertex p, the max over geodesics from ``a`` to
+    ``nodes[i]`` of the min distance from p to the path: the bottleneck
+    DP ``M[v] = min(d(v, p), max over predecessors)``.  A neighbour one
+    step closer to ``a`` needs no membership test, since the triangle
+    inequality puts it on a geodesic to ``b`` as well.
     """
-
-    __slots__ = ("a", "b", "nodes", "preds", "pos")
-
-    def __init__(self, ball: CayleyBall, a: int, b: int, D: np.ndarray):
-        self.a, self.b = a, b
-        da, db = D[a], D[b]
-        total = int(da[b])
-        nodes = np.nonzero(da + db == total)[0]
-        order = np.argsort(da[nodes], kind="stable")
-        self.nodes = nodes[order]
-        self.pos = {int(v): i for i, v in enumerate(self.nodes)}
-        self.preds: list[list[int]] = [[] for _ in self.nodes]
-        for i, v in enumerate(self.nodes):
-            dv = int(da[v])
-            for w in ball.adjacency[int(v)].values():
-                j = self.pos.get(w)
-                if j is not None and int(da[w]) == dv - 1:
-                    self.preds[i].append(j)
-
-
-def _adversary_vector(dag: _SideDag, D: np.ndarray) -> np.ndarray:
-    """For every ball vertex p: max over geodesics of min distance p to the path.
-
-    Bottleneck DP, vectorized over all vertices: M[v] = min(d(v, p), max
-    over predecessors), answered at the far endpoint.  Returns a copy of
-    that row, so the k-by-n table is freed.
-    """
-    M = D[dag.nodes]
-    for i, preds in enumerate(dag.preds):
+    da = D[a]
+    nodes = np.nonzero(da + D[b] == da[b])[0]
+    nodes = nodes[np.argsort(da[nodes], kind="stable")]
+    row = {v: i for i, v in enumerate(nodes.tolist())}
+    M = D[nodes]
+    for v, i in row.items():
+        closer = da[v] - 1
+        preds = [row[w] for w in ball.adjacency[v].values() if da[w] == closer]
         if preds:
             acc = M[preds[0]]
             for j in preds[1:]:
                 acc = np.maximum(acc, M[j])
             np.minimum(M[i], acc, out=M[i])
-    return M[dag.pos[dag.b]].copy()
+    return nodes, row, M
 
 
-def _adversary_path(dag: _SideDag, weights: np.ndarray) -> tuple[int, ...]:
-    """One geodesic attaining the bottleneck max-min for scalar weights."""
-    n = len(dag.nodes)
-    value = [0] * n
-    parent = [-1] * n
-    for i in range(n):
-        w = int(weights[dag.nodes[i]])
-        if not dag.preds[i]:
-            value[i] = w
-        else:
-            j_best = max(dag.preds[i], key=lambda j: value[j])
-            value[i] = min(w, value[j_best])
-            parent[i] = j_best
-    path = []
-    i = dag.pos[dag.b]
-    while i >= 0:
-        path.append(int(dag.nodes[i]))
-        i = parent[i]
-    return tuple(reversed(path))
-
-
-def _any_geodesic_through(ball: CayleyBall, a: int, p: int, b: int, D: np.ndarray):
-    def descend(frm: int, to: int):
-        seq = [frm]
-        d = D[to]
-        v = frm
-        while v != to:
-            step = min(
-                (w for w in ball.adjacency[v].values() if d[w] == d[v] - 1),
-                key=lambda w: w,
-            )
-            seq.append(step)
-            v = step
-        return seq
-
-    left = descend(p, a)[::-1]
-    right = descend(p, b)
-    return tuple(left + right[1:])
+def _descend(ball: CayleyBall, v: int, to: int, D: np.ndarray, key=None) -> list[int]:
+    """A geodesic from ``v`` to ``to``: each step goes to the neighbour one
+    step closer that ``key`` ranks least (the first on ties), by default
+    the least vertex."""
+    d = D[to]
+    path = [v]
+    while v != to:
+        closer = d[v] - 1
+        v = min((w for w in ball.adjacency[v].values() if d[w] == closer), key=key)
+        path.append(v)
+    return path
 
 
 _SIDES = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
@@ -172,25 +132,19 @@ def triangle_thinness(
     D = ball.distance_matrix()
     if not worst_case:
         return _canonical_choice_thinness(ball, tri, D)
-    dags = [_SideDag(ball, tri[ia], tri[ib], D) for ia, ib, _ in _SIDES]
-    delta, si, p = _evaluate([(dag.nodes, _adversary_vector(dag, D)) for dag in dags])
-    ia, ib, _ = _SIDES[si]
-    side_path = _any_geodesic_through(ball, tri[ia], p, tri[ib], D)
-    other = [dags[(si + 1) % 3], dags[(si + 2) % 3]]
-    adv_paths = [_adversary_path(dag, D[p]) for dag in other]
-    q = min((v for path in adv_paths for v in path), key=lambda v: (D[p][v], v))
-    paths = [None, None, None]
-    paths[si] = side_path
-    paths[(si + 1) % 3] = adv_paths[0]
-    paths[(si + 2) % 3] = adv_paths[1]
-    witness = ThinnessWitness(
-        triangle=tri,
-        side=(tri[ia], tri[ib]),
-        point=p,
-        nearest=int(q),
-        distance=delta,
-        geodesics=tuple(paths),
-    )
+    ends = [(tri[ia], tri[ib]) for ia, ib, _ in _SIDES]
+    sides = [_side(ball, a, b, D) for a, b in ends]
+    delta, si, p = _evaluate([(nodes, M[row[b]]) for (nodes, row, M), (_, b) in zip(sides, ends)])
+    paths = []
+    for o, ((a, b), (_, row, M)) in enumerate(zip(ends, sides)):
+        if o == si:
+            paths.append(tuple(_descend(ball, p, a, D)[::-1] + _descend(ball, p, b, D)[1:]))
+        else:
+            # The geodesic that keeps farthest from p, walked back from b.
+            paths.append(tuple(_descend(ball, b, a, D, key=lambda w: -M[row[w], p])[::-1]))
+    others = paths[(si + 1) % 3] + paths[(si + 2) % 3]
+    q = min(others, key=lambda v: (D[p][v], v))
+    witness = ThinnessWitness(tri, ends[si], p, q, delta, tuple(paths))
     return delta, witness
 
 
@@ -238,10 +192,12 @@ def _triples(ball: CayleyBall, D: np.ndarray, sample_count, seed):
         return triples, "exhaustive"
     if seed is None:
         raise ValueError("random sampling needs an explicit seed")
+    if sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
     rng = random.Random(seed)
     chosen = set()
     attempts = 0
-    while len(chosen) < sample_count and attempts < 200 * max(1, sample_count):
+    while len(chosen) < sample_count and attempts < 200 * sample_count:
         attempts += 1
         picks = sorted(rng.sample(range(n), 3))
         i, j, k = picks
@@ -263,8 +219,9 @@ def delta_estimate(
 ) -> ThinnessReport:
     """Max triangle thinness over unclipped vertex triples.
 
-    Exhaustive by default; pass ``sample_count``/``seed`` for a seeded
-    random subset (whose maximum can only undershoot the exhaustive one).
+    Exhaustive by default; pass ``sample_count`` (at least 1) and ``seed``
+    for a seeded random subset (whose maximum can only undershoot the
+    exhaustive one).
     Triangles that provably cannot beat the running maximum are skipped:
     every point on a side is within half that side's length of a shared
     corner, so thinness never exceeds half the longest side.  Raises
@@ -289,8 +246,8 @@ def delta_estimate(
         if entry is not None:
             sides.move_to_end((a, b))
         else:
-            dag = _SideDag(ball, a, b, D)
-            entry = sides[(a, b)] = (dag.nodes, _adversary_vector(dag, D))
+            nodes, row, M = _side(ball, a, b, D)
+            entry = sides[(a, b)] = (nodes, M[row[b]].copy())
             cached_bytes += entry[0].nbytes + entry[1].nbytes
             while cached_bytes > _SIDE_CACHE_BYTES:
                 nodes, vector = sides.popitem(last=False)[1]

@@ -61,3 +61,10 @@ def test_inapplicable_pairs_rejected():
         WordSource("random")  # no seed
     with pytest.raises(ValueError):
         WordSource("fuzz")
+
+
+@pytest.mark.parametrize("sizes", [[], [-4], [4, -1]])
+@pytest.mark.parametrize("kind", ["worst", "trivial"])
+def test_run_bench_rejects_empty_or_negative_sizes(sizes, kind):
+    with pytest.raises(ValueError, match="sizes must be nonempty and nonnegative"):
+        run_bench(ZZ, "dehn", sizes, WordSource(kind))

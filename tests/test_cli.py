@@ -125,6 +125,38 @@ def test_delta_sample_requires_seed(zz_file, capsys):
     assert main(["delta", "--pres", zz_file, "--radius", "4", "--sample", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["delta", "--pres", "ZZ", "--radius", "3", "--sample", "-3", "--seed", "1"], "sample"),
+        (["hplane", "verify", "--triangles", "-3", "--seed", "1"], "triangle count"),
+        (
+            ["hplane", "verify", "--triangles", "3", "--seed", "1", "--diameter", "-5"],
+            "diameter",
+        ),
+        (
+            ["hplane", "verify", "--triangles", "3", "--seed", "1", "--diameter", "nan"],
+            "diameter",
+        ),
+        (
+            ["bench", "--pres", "ZZ", "--solver", "dehn", "--sizes", ",", "--source", "trivial"],
+            "sizes",
+        ),
+        (
+            ["bench", "--pres", "ZZ", "--solver", "dehn", "--sizes", "-4", "--source", "worst"],
+            "sizes",
+        ),
+    ],
+    ids=["sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size"],
+)
+def test_out_of_range_counts_are_error_exits(zz_file, capsys, args, message):
+    assert main([zz_file if a == "ZZ" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_qi_output(zz_file, capsys):
     assert main(["qi", "--pres", zz_file, "--gens-b", "a,b,ab", "--radius", "4"]) == 0
     out = capsys.readouterr().out

@@ -182,3 +182,18 @@ def test_survey_ladder_monotone():
         for d in (1, 2, 4, 8, 16)
     ]
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize(
+    "count, diameter, message",
+    [
+        (-3, 25.0, "triangle count"),
+        (0, 25.0, "triangle count"),
+        (5, -5.0, "diameter"),
+        (5, math.nan, "diameter"),
+        (5, math.inf, "diameter"),
+    ],
+)
+def test_survey_rejects_bad_count_and_diameter(count, diameter, message):
+    with pytest.raises(ValueError, match=message):
+        verify_thinness_bound(count, seed=1, diameter=diameter)

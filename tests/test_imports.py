@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private top-level name of the library is used somewhere in it.
 
-The package re-exports names through ``__init__.py``, which is excluded.
+The package re-exports names through ``__init__.py``, which is excluded
+from the import check.
 """
 
 import ast
@@ -10,9 +12,8 @@ import pytest
 
 import groupgeom
 
-MODULES = sorted(
-    p for p in Path(groupgeom.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(groupgeom.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +38,57 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_import():
     source = "from .words import EMPTY, shortlex_key\nimport os\n\nx = EMPTY\n"
     assert _unused_imports(source) == ["shortlex_key (line 1)", "os (line 2)"]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names that nothing outside their own definition uses.
+
+    A use is the name anywhere in the defining module outside the
+    definition, or an attribute or ``from`` import of it in any module.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    elsewhere = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                elsewhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                elsewhere.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                names = [definition.name]
+            elif isinstance(definition, ast.Assign):
+                names = [t.id for t in definition.targets if isinstance(t, ast.Name)]
+            elif isinstance(definition, ast.AnnAssign) and isinstance(definition.target, ast.Name):
+                names = [definition.target.id]
+            else:
+                continue
+            inside = set(map(id, ast.walk(definition)))
+            for name in names:
+                if not name.startswith("_") or name.startswith("__") or name in elsewhere:
+                    continue
+                if not any(
+                    isinstance(node, ast.Name) and node.id == name and id(node) not in inside
+                    for node in ast.walk(tree)
+                ):
+                    found.append(f"{module}: {name} (line {definition.lineno})")
+    return found
+
+
+def test_every_private_name_is_used():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_detector_flags_a_private_name_kept_only_for_tests():
+    sources = {
+        "thinness.py": (
+            "_SIDES = (0, 1)\n\n\ndef _descend(v):\n    return [v]\n\n\n"
+            "def _adversary_path(dag):\n    return _adversary_path(dag.prev)\n\n\n"
+            "def delta():\n    return _descend(_SIDES[0])\n"
+        ),
+        "cli.py": "from . import thinness\n\nthinness._SIDES\n",
+    }
+    assert _unreferenced_private_names(sources) == ["thinness.py: _adversary_path (line 8)"]

@@ -141,6 +141,13 @@ def test_random_sample_needs_seed():
         delta_estimate(ball, sample_count=10)
 
 
+@pytest.mark.parametrize("count", [-3, 0])
+def test_random_sample_rejects_nonpositive_count(count):
+    ball = build_ball(ZZ, 3)
+    with pytest.raises(ValueError, match="sample count must be at least 1"):
+        delta_estimate(ball, sample_count=count, seed=1)
+
+
 def test_canonical_choice_variant_no_larger():
     ball = build_ball(ZZ, 4)
     tri = (0, ball.vertex_of(parse_word("aa", ZZ)), ball.vertex_of(parse_word("bb", ZZ)))
@@ -185,6 +192,92 @@ def test_exhaustive_delta_deterministic():
     )
 
 
+# The side DAG, its DP and the witness walkers that ``thinness._side`` and
+# ``thinness._descend`` replaced, kept unchanged as references.
+class _SideDag:
+    """Shortest-path DAG between two ball vertices.
+
+    ``nodes`` lists every vertex on some geodesic, topologically ordered
+    by distance from ``a``; ``preds[i]`` are node positions one step
+    closer to ``a``.
+    """
+
+    __slots__ = ("a", "b", "nodes", "preds", "pos")
+
+    def __init__(self, ball, a, b, D):
+        self.a, self.b = a, b
+        da, db = D[a], D[b]
+        total = int(da[b])
+        nodes = np.nonzero(da + db == total)[0]
+        order = np.argsort(da[nodes], kind="stable")
+        self.nodes = nodes[order]
+        self.pos = {int(v): i for i, v in enumerate(self.nodes)}
+        self.preds = [[] for _ in self.nodes]
+        for i, v in enumerate(self.nodes):
+            dv = int(da[v])
+            for w in ball.adjacency[int(v)].values():
+                j = self.pos.get(w)
+                if j is not None and int(da[w]) == dv - 1:
+                    self.preds[i].append(j)
+
+
+def _adversary_vector(dag, D):
+    """For every ball vertex p: max over geodesics of min distance p to the path.
+
+    Bottleneck DP, vectorized over all vertices: M[v] = min(d(v, p), max
+    over predecessors), answered at the far endpoint.  Returns a copy of
+    that row, so the k-by-n table is freed.
+    """
+    M = D[dag.nodes]
+    for i, preds in enumerate(dag.preds):
+        if preds:
+            acc = M[preds[0]]
+            for j in preds[1:]:
+                acc = np.maximum(acc, M[j])
+            np.minimum(M[i], acc, out=M[i])
+    return M[dag.pos[dag.b]].copy()
+
+
+def _adversary_path(dag, weights):
+    """One geodesic attaining the bottleneck max-min for scalar weights."""
+    n = len(dag.nodes)
+    value = [0] * n
+    parent = [-1] * n
+    for i in range(n):
+        w = int(weights[dag.nodes[i]])
+        if not dag.preds[i]:
+            value[i] = w
+        else:
+            j_best = max(dag.preds[i], key=lambda j: value[j])
+            value[i] = min(w, value[j_best])
+            parent[i] = j_best
+    path = []
+    i = dag.pos[dag.b]
+    while i >= 0:
+        path.append(int(dag.nodes[i]))
+        i = parent[i]
+    return tuple(reversed(path))
+
+
+def _any_geodesic_through(ball, a, p, b, D):
+    def descend(frm, to):
+        seq = [frm]
+        d = D[to]
+        v = frm
+        while v != to:
+            step = min(
+                (w for w in ball.adjacency[v].values() if d[w] == d[v] - 1),
+                key=lambda w: w,
+            )
+            seq.append(step)
+            v = step
+        return seq
+
+    left = descend(p, a)[::-1]
+    right = descend(p, b)
+    return tuple(left + right[1:])
+
+
 def _reference_adversary_distances(dag, points, D):
     """The per-triangle DP that ``thinness._adversary_vector`` replaced:
     the same recurrence, restricted to ``points`` through ``np.ix_``."""
@@ -203,7 +296,7 @@ def _reference_adversary_distances(dag, points, D):
 
 def _reference_evaluate(ball, tri, D):
     """(delta, side index, point) through the reference DP."""
-    dags = [thinness._SideDag(ball, tri[ia], tri[ib], D) for ia, ib, _ in thinness._SIDES]
+    dags = [_SideDag(ball, tri[ia], tri[ib], D) for ia, ib, _ in thinness._SIDES]
     best = (-1, -1, -1)
     for si in range(3):
         points = dags[si].nodes
@@ -223,10 +316,10 @@ def _reference_triangle(ball, tri):
     (delta, si, p), dags = _reference_evaluate(ball, tri, D)
     ia, ib, _ = thinness._SIDES[si]
     paths = [None, None, None]
-    paths[si] = thinness._any_geodesic_through(ball, tri[ia], p, tri[ib], D)
+    paths[si] = _any_geodesic_through(ball, tri[ia], p, tri[ib], D)
     others = [(si + 1) % 3, (si + 2) % 3]
     for o in others:
-        paths[o] = thinness._adversary_path(dags[o], D[p])
+        paths[o] = _adversary_path(dags[o], D[p])
     q = min((v for o in others for v in paths[o]), key=lambda v: (D[p][v], v))
     return delta, ThinnessWitness(tri, (tri[ia], tri[ib]), p, int(q), delta, tuple(paths))
 
@@ -268,9 +361,14 @@ def test_side_vector_matches_reference_dp(index):
     D = ball.distance_matrix()
     everywhere = np.arange(len(ball))
     for a, b in _unclipped_pairs(ball):
-        dag = thinness._SideDag(ball, a, b, D)
-        vector = thinness._adversary_vector(dag, D)
+        dag = _SideDag(ball, a, b, D)
+        nodes, row, M = thinness._side(ball, a, b, D)
+        assert np.array_equal(nodes, dag.nodes)
+        assert row == dag.pos
+        assert M.shape == (len(nodes), len(ball))
+        vector = M[row[b]]
         assert vector.shape == (len(ball),)
+        assert np.array_equal(vector, _adversary_vector(dag, D))
         assert np.array_equal(vector, _reference_adversary_distances(dag, everywhere, D))
 
 
@@ -306,13 +404,13 @@ def test_distance_matrix_matches_per_vertex_bfs(index):
 
 def _counting_side_dp(monkeypatch):
     calls = []
-    real = thinness._adversary_vector
+    real = thinness._side
 
-    def counting(dag, D):
-        calls.append((dag.a, dag.b))
-        return real(dag, D)
+    def counting(ball, a, b, D):
+        calls.append((a, b))
+        return real(ball, a, b, D)
 
-    monkeypatch.setattr(thinness, "_adversary_vector", counting)
+    monkeypatch.setattr(thinness, "_side", counting)
     return calls
 
 
