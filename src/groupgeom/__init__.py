@@ -30,7 +30,6 @@ from .dehn import (
     zz_normal_form,
 )
 from .oracle import (
-    OracleBudget,
     Tristate,
     UndecidedError,
     canonical_form,
@@ -48,6 +47,7 @@ from .cayley import (
 )
 from .thinness import ThinnessReport, ThinnessWitness, delta_estimate, triangle_thinness
 from .isoperimetry import (
+    ORACLE_CAPS,
     AreaCaps,
     AreaResult,
     DehnTable,

@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .oracle import Tristate, OracleBudget, abelian_residue, normal_form, words_equal, UndecidedError
+from .isoperimetry import AreaCaps
+from .oracle import Tristate, abelian_residue, normal_form, words_equal, UndecidedError
 from .words import Presentation, Word, free_reduce, letter_key, multiply
 
 VertexRef = Union[int, Word]
@@ -155,9 +156,9 @@ class ElementIndex:
     merged or split element.
     """
 
-    def __init__(self, presentation: Presentation, budget: Optional[OracleBudget] = None):
+    def __init__(self, presentation: Presentation, caps: Optional[AreaCaps] = None):
         self.presentation = presentation
-        self.budget = budget
+        self.caps = caps
         self.reps: list[Word] = []
         self._exact = normal_form(presentation, ()) is not None
         self._by_key: dict = {}
@@ -168,7 +169,7 @@ class ElementIndex:
             return self._by_key.get(normal_form(self.presentation, word))
         bucket = self._buckets.get(abelian_residue(self.presentation, word), ())
         for cand in bucket:
-            answer = words_equal(self.presentation, word, self.reps[cand], self.budget)
+            answer = words_equal(self.presentation, word, self.reps[cand], self.caps)
             if answer is Tristate.EQUAL:
                 return cand
             if answer is Tristate.UNKNOWN:
@@ -218,12 +219,12 @@ def check_memory(n: int, bytes_per_pair: int, what: str) -> None:
 
 
 def build_ball(
-    presentation: Presentation, radius: int, budget: Optional[OracleBudget] = None
+    presentation: Presentation, radius: int, caps: Optional[AreaCaps] = None
 ) -> CayleyBall:
     """Breadth-first ball construction with sound element deduplication."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    index = ElementIndex(presentation, budget)
+    index = ElementIndex(presentation, caps)
     index.add(())
     dist: list[int] = [0]
     adjacency: list[dict[int, int]] = [{}]

@@ -17,8 +17,8 @@ from .bench import WordSource, run_bench
 from .cayley import build_ball
 from .dehn import dehn_reduce, verify_dehn_presentation
 from .hplane import THINNESS_BOUND, verify_thinness_bound
-from .isoperimetry import AreaCaps, area, default_caps, dehn_function, fit_growth
-from .oracle import OracleBudget, Tristate, UndecidedError, canonical_form, words_equal
+from .isoperimetry import ORACLE_CAPS, AreaCaps, area, default_caps, dehn_function, fit_growth
+from .oracle import Tristate, UndecidedError, canonical_form, words_equal
 from .qi import compare_metrics
 from .thinness import delta_estimate
 from .words import (
@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_pres(sub.add_parser("equal", help="decide whether two words agree"))
     p.add_argument("u")
     p.add_argument("v")
-    p.add_argument("--max-area", type=int, default=OracleBudget.max_area)
-    p.add_argument("--max-len", type=int, default=OracleBudget.max_search_length)
+    p.add_argument("--max-area", type=int)
+    p.add_argument("--max-len", type=int)
 
     p = with_pres(sub.add_parser("normal-form", help="canonical spelling of a word"))
     p.add_argument("word")
@@ -134,9 +134,8 @@ def _ball_payload(pres, ball) -> dict:
     }
 
 
-def _area_caps(args, pres, length: int) -> AreaCaps:
-    """``--max-area`` and ``--max-len``, each defaulting to ``default_caps``."""
-    caps = default_caps(pres, length)
+def _area_caps(args, caps: AreaCaps) -> AreaCaps:
+    """``--max-area`` and ``--max-len``, each defaulting to its field of ``caps``."""
     return AreaCaps(
         caps.max_area if args.max_area is None else args.max_area,
         caps.max_intermediate_length if args.max_len is None else args.max_len,
@@ -172,7 +171,7 @@ def _dispatch(args) -> int:
     if cmd == "equal":
         u = parse_word(args.u, pres)
         v = parse_word(args.v, pres)
-        answer = words_equal(pres, u, v, OracleBudget(args.max_area, args.max_len))
+        answer = words_equal(pres, u, v, _area_caps(args, ORACLE_CAPS))
         print(answer.value.upper())
         return _EQUAL_EXIT[answer]
 
@@ -233,7 +232,7 @@ def _dispatch(args) -> int:
 
     if cmd == "area":
         word = parse_word(args.word, pres)
-        result = area(pres, word, _area_caps(args, pres, len(word)))
+        result = area(pres, word, _area_caps(args, default_caps(pres, len(word))))
         if result.value is None:
             print("UNKNOWN")
             return 2
@@ -241,7 +240,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "dehn-function":
-        table = dehn_function(pres, args.n, _area_caps(args, pres, args.n))
+        table = dehn_function(pres, args.n, _area_caps(args, default_caps(pres, args.n)))
         print("n,maxArea,argmax")
         for row in table.rows:
             print(f"{row.n},{row.max_area},{format_word(row.argmax, pres)}")

@@ -39,6 +39,10 @@ class AreaCaps:
     max_area: int
     max_intermediate_length: int
 
+    def __post_init__(self):
+        if self.max_area < 0 or self.max_intermediate_length < 0:
+            raise ValueError("budgets must be nonnegative")
+
 
 @dataclass(frozen=True)
 class AreaMove:
@@ -75,6 +79,9 @@ class GrowthClass:
     exponent: float
     residual: float
     all_zero: bool = False
+
+
+ORACLE_CAPS = AreaCaps(max_area=8, max_intermediate_length=32)  # words_equal's area caps
 
 
 def default_caps(presentation: Presentation, length: int) -> AreaCaps:

@@ -13,9 +13,8 @@ never wrong.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .dehn import dehn_reduce, zz_normal_form
 from .words import (
@@ -29,21 +28,14 @@ from .words import (
     symmetrize,
 )
 
+if TYPE_CHECKING:
+    from .isoperimetry import AreaCaps
+
 
 class Tristate(enum.Enum):
     EQUAL = "equal"
     NOT_EQUAL = "not-equal"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_area: int = 8
-    max_search_length: int = 32
-
-    def __post_init__(self):
-        if self.max_area < 0 or self.max_search_length < 0:
-            raise ValueError("budgets must be nonnegative")
 
 
 class UndecidedError(RuntimeError):
@@ -100,30 +92,26 @@ def abelian_residue(presentation: Presentation, word: Word) -> tuple[int, ...]:
 
 
 def words_equal(
-    presentation: Presentation,
-    u: Word,
-    v: Word,
-    budget: Optional[OracleBudget] = None,
+    presentation: Presentation, u: Word, v: Word, caps: Optional[AreaCaps] = None
 ) -> Tristate:
-    """Decide whether two words name the same group element."""
-    presentation.check_word(u)
-    presentation.check_word(v)
-    w = multiply(u, invert(v))
-    if not w:
+    """Decide whether two words name the same group element; ``caps`` bound
+    the area search where no exact strategy applies (None: ``ORACLE_CAPS``)."""
+    presentation.check_word(u + v)
+    if u == v:
         return Tristate.EQUAL
+    # Every strategy below reduces the product or ignores letter order.
+    w = u + invert(v)
     nf = normal_form(presentation, w)
     if nf is not None:
         return Tristate.EQUAL if nf == EMPTY else Tristate.NOT_EQUAL
     if presentation.family == "surface":
         reduced, _ = dehn_reduce(presentation, w)
         return Tristate.EQUAL if reduced == EMPTY else Tristate.NOT_EQUAL
-    if budget is None:
-        budget = OracleBudget()
     if any(abelian_residue(presentation, w)):
         return Tristate.NOT_EQUAL
-    from .isoperimetry import AreaCaps, area
+    from .isoperimetry import ORACLE_CAPS, area
 
-    result = area(presentation, w, AreaCaps(budget.max_area, budget.max_search_length))
+    result = area(presentation, w, ORACLE_CAPS if caps is None else caps)
     return Tristate.EQUAL if result.value is not None else Tristate.UNKNOWN
 
 

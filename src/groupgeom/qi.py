@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cayley import ElementIndex
-from .oracle import OracleBudget
+from .isoperimetry import AreaCaps
 from .words import Presentation, Word, invert, multiply
 
 
@@ -77,7 +77,7 @@ def compare_metrics(
     gens_a: Optional[Sequence[Word]],
     gens_b: Sequence[Word],
     radius: int,
-    budget: Optional[OracleBudget] = None,
+    caps: Optional[AreaCaps] = None,
 ) -> QIReport:
     """Fit the linear comparison constants between two word metrics.
 
@@ -89,9 +89,11 @@ def compare_metrics(
         raise ValueError("radius must be nonnegative")
     if gens_a is None:
         gens_a = [(k,) for k in range(1, presentation.rank + 1)]
+    if not gens_a or not gens_b:
+        raise ValueError("generating sets must be nonempty")
     for w in list(gens_a) + list(gens_b):
         presentation.check_word(w)
-    index = ElementIndex(presentation, budget)
+    index = ElementIndex(presentation, caps)
     da = _metric_bfs(index, gens_a, radius)
     db = _metric_bfs(index, gens_b, radius)
     common = sorted(set(da) & set(db))

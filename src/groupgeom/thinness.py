@@ -190,10 +190,6 @@ def _triples(ball: CayleyBall, D: np.ndarray, sample_count, seed):
                     kk = int(k) + j + 1
                     triples.append((i, j, kk, max(dij, int(D[i, kk]), int(D[j, kk]))))
         return triples, "exhaustive"
-    if seed is None:
-        raise ValueError("random sampling needs an explicit seed")
-    if sample_count < 1:
-        raise ValueError(f"sample count must be at least 1, got {sample_count}")
     rng = random.Random(seed)
     chosen = set()
     attempts = 0
@@ -230,6 +226,10 @@ def delta_estimate(
     """
     if ball.radius < 2:
         raise ValueError("delta estimation needs radius >= 2")
+    if sample_count is not None and seed is None:
+        raise ValueError("random sampling needs an explicit seed")
+    if sample_count is not None and sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
     # D, then the int16 sum and the bool eligibility matrix of _triples.
     check_memory(len(ball), 5, "delta estimation")
     D = ball.distance_matrix()

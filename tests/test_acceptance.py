@@ -17,7 +17,7 @@ from groupgeom.cli import main
 from groupgeom.dehn import dehn_reduce, find_majority_subword, verify_dehn_presentation, zz_normal_form
 from groupgeom.hplane import THINNESS_BOUND, verify_thinness_bound
 from groupgeom.isoperimetry import AreaCaps, area, dehn_function, fit_growth
-from groupgeom.oracle import OracleBudget, Tristate, generate_null_homotopic, words_equal
+from groupgeom.oracle import Tristate, generate_null_homotopic, words_equal
 from groupgeom.qi import compare_metrics
 from groupgeom.thinness import delta_estimate, triangle_thinness
 from groupgeom.words import (
@@ -230,7 +230,7 @@ def test_criterion_10b_normal_form_agrees_with_generic_oracle():
             word.pop()
 
     rec([])
-    budget = OracleBudget(max_area=10, max_search_length=28)
+    budget = AreaCaps(max_area=10, max_intermediate_length=28)
     keys = [zz_normal_form(w)[:2] for w in words]
     mismatches = 0
     for i, u in enumerate(words):

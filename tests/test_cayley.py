@@ -1,7 +1,8 @@
 import pytest
 
 from groupgeom.cayley import all_geodesics, ball_distance, build_ball
-from groupgeom.oracle import OracleBudget, Tristate, canonical_form, words_equal
+from groupgeom.isoperimetry import AreaCaps
+from groupgeom.oracle import Tristate, canonical_form, words_equal
 from groupgeom.words import Presentation, parse_word, standard_presentation
 
 ZZ = standard_presentation("zz")
@@ -57,7 +58,7 @@ def test_no_duplicate_elements_small_balls():
 
 def test_generic_presentation_ball_with_oracle_dedup():
     generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
-    ball = build_ball(generic, 2, OracleBudget(6, 24))
+    ball = build_ball(generic, 2, AreaCaps(6, 24))
     assert len(ball) == 13
 
 
@@ -143,7 +144,7 @@ def test_build_ball_signals_on_undecided_oracle():
 
     generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
     with pytest.raises(UndecidedError):
-        build_ball(generic, 2, OracleBudget(0, 8))
+        build_ball(generic, 2, AreaCaps(0, 8))
 
 
 def test_surface_ball_merges_relator_cycles():
@@ -154,6 +155,6 @@ def test_surface_ball_merges_relator_cycles():
 
 def test_length_one_relator_collapses_generator():
     pres = Presentation(("a", "b"), ((1,),))
-    ball = build_ball(pres, 2, OracleBudget(4, 12))
+    ball = build_ball(pres, 2, AreaCaps(4, 12))
     assert len(ball) == 5  # the quotient is free on b
     assert ball.adjacency[0][1] == 0  # a-edge loops at the identity

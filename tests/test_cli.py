@@ -146,8 +146,21 @@ def test_delta_sample_requires_seed(zz_file, capsys):
             ["bench", "--pres", "ZZ", "--solver", "dehn", "--sizes", "-4", "--source", "worst"],
             "sizes",
         ),
+        (["area", "--pres", "ZZ", "aabbAABB", "--max-area", "-1"], "nonnegative"),
+        (["area", "--pres", "ZZ", "aabbAABB", "--max-len", "-3"], "nonnegative"),
+        (["dehn-function", "--pres", "ZZ", "--n", "6", "--max-area", "-1"], "nonnegative"),
+        (["equal", "--pres", "ZZ", "ab", "ba", "--max-area", "-1"], "nonnegative"),
+        (["qi", "--pres", "ZZ", "--gens-b", ",", "--radius", "2"], "generating sets"),
+        (
+            ["qi", "--pres", "ZZ", "--gens-a", ",", "--gens-b", "a,b", "--radius", "2"],
+            "generating sets",
+        ),
     ],
-    ids=["sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size"],
+    ids=[
+        "sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size",
+        "area-max-area", "area-max-len", "dehn-function-max-area", "equal-max-area",
+        "qi-empty-b", "qi-empty-a",
+    ],
 )
 def test_out_of_range_counts_are_error_exits(zz_file, capsys, args, message):
     assert main([zz_file if a == "ZZ" else a for a in args]) == 2

@@ -198,10 +198,11 @@ def test_insertion_products_lie_in_the_exhaustive_set(pres):
 
 
 def test_dehn_reduce_element_confirmed_by_generic_oracle():
-    from groupgeom.oracle import OracleBudget, Tristate, words_equal
+    from groupgeom.isoperimetry import AreaCaps
+    from groupgeom.oracle import Tristate, words_equal
 
     generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
-    budget = OracleBudget(10, 30)
+    budget = AreaCaps(10, 30)
     for text in ("abABab", "aabbAABB", "babA", "aabABAbA", "bbaaBBAA"):
         word = parse_word(text, ZZ)
         out, _ = dehn_reduce(ZZ, word)

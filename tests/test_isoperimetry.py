@@ -68,6 +68,12 @@ def _brute_area(pres, word, max_area, max_len):
     return None
 
 
+@pytest.mark.parametrize("fields", [(-1, 16), (8, -1), (-2, -3)])
+def test_area_caps_reject_negative_fields(fields):
+    with pytest.raises(ValueError, match="budgets must be nonnegative"):
+        AreaCaps(*fields)
+
+
 def test_area_examples():
     assert area(ZZ, w("abAB")).value == 1
     assert area(ZZ, EMPTY).value == 0
@@ -193,11 +199,11 @@ _BLIND_SEARCHES = textwrap.dedent(
     import resource
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     from groupgeom.isoperimetry import AreaCaps, area
-    from groupgeom.oracle import OracleBudget, words_equal
+    from groupgeom.oracle import words_equal
     from groupgeom.words import Presentation, parse_word
 
     abc = Presentation(("a", "b", "c"), ((1, 2, -1, -2), (1, 1, 3, -2, 3), (3, 3, 3)))
-    print(words_equal(abc, parse_word("Baca", abc), parse_word("C", abc), OracleBudget(6, 16)).value)
+    print(words_equal(abc, parse_word("Baca", abc), parse_word("C", abc), AreaCaps(6, 16)).value)
     torsion = Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2)))
     print(area(torsion, parse_word("bAbAAA", torsion), AreaCaps(6, 14)).value)
     """

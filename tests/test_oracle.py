@@ -2,9 +2,9 @@ from itertools import product
 
 import pytest
 
-from groupgeom.dehn import zz_normal_form
+from groupgeom.dehn import dehn_reduce, zz_normal_form
+from groupgeom.isoperimetry import AreaCaps, area
 from groupgeom.oracle import (
-    OracleBudget,
     Tristate,
     UndecidedError,
     abelian_residue,
@@ -45,12 +45,12 @@ def test_not_equal_free():
 
 
 def test_generic_zero_budget_is_unknown():
-    ans = words_equal(GENERIC_ZZ, w("aabbAABB"), EMPTY, OracleBudget(0, 16))
+    ans = words_equal(GENERIC_ZZ, w("aabbAABB"), EMPTY, AreaCaps(0, 16))
     assert ans is Tristate.UNKNOWN
 
 
 def test_generic_with_budget_certifies():
-    budget = OracleBudget(8, 24)
+    budget = AreaCaps(8, 24)
     assert words_equal(GENERIC_ZZ, w("aabbAABB"), EMPTY, budget) is Tristate.EQUAL
     assert words_equal(GENERIC_ZZ, w("ab"), w("ba"), budget) is Tristate.EQUAL
     assert words_equal(GENERIC_ZZ, w("a"), w("b"), budget) is Tristate.NOT_EQUAL
@@ -226,7 +226,7 @@ def test_exhaustive_identity_words_free_builds_no_ball(monkeypatch):
 
 
 def test_soundness_on_certified_closure():
-    budget = OracleBudget(8, 24)
+    budget = AreaCaps(8, 24)
     for word in generate_null_homotopic(ZZ, 2, 8):
         for cut in range(len(word) + 1):
             u, tail = word[:cut], word[cut:]
@@ -237,7 +237,7 @@ def test_soundness_on_certified_closure():
 
 
 def test_definite_answers_never_contradict_abelianization():
-    budget = OracleBudget(6, 20)
+    budget = AreaCaps(6, 20)
     words = [w(t) for t in ("1", "a", "ab", "ba", "abAB", "aabb", "bbaa", "aBAb")]
     for u in words:
         for v in words:
@@ -257,3 +257,77 @@ def test_surface_oracle_sound_on_certified_closure():
             if len(u) > 6 or len(v) > 6:
                 continue
             assert words_equal(SURF2, u, v) is not Tristate.NOT_EQUAL
+
+
+def _reference_words_equal(presentation, u, v, caps=None):
+    """``words_equal`` as it was when it checked ``u`` and ``v`` apart and
+    freely reduced ``u v^-1`` before choosing a strategy."""
+    presentation.check_word(u)
+    presentation.check_word(v)
+    w = multiply(u, invert(v))
+    if not w:
+        return Tristate.EQUAL
+    nf = normal_form(presentation, w)
+    if nf is not None:
+        return Tristate.EQUAL if nf == EMPTY else Tristate.NOT_EQUAL
+    if presentation.family == "surface":
+        reduced, _ = dehn_reduce(presentation, w)
+        return Tristate.EQUAL if reduced == EMPTY else Tristate.NOT_EQUAL
+    if any(abelian_residue(presentation, w)):
+        return Tristate.NOT_EQUAL
+    result = area(presentation, w, AreaCaps(8, 32) if caps is None else caps)
+    return Tristate.EQUAL if result.value is not None else Tristate.UNKNOWN
+
+
+def _all_words(rank, max_length, reduced=True):
+    """Every word up to ``max_length``, or every freely reduced one."""
+    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    out = layer = [EMPTY]
+    for _ in range(max_length):
+        layer = [u + (x,) for u in layer for x in letters if not (reduced and u and u[-1] == -x)]
+        out = out + layer
+    return out
+
+
+def _outcome(fn, presentation, u, v, caps):
+    try:
+        return fn(presentation, u, v, caps)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+CAPS = AreaCaps(8, 24)
+DIFFERENTIAL_CASES = [
+    ("free2", F2, _all_words(2, 3), CAPS),
+    ("zz", ZZ, _all_words(2, 3), CAPS),
+    ("untagged-zz", GENERIC_ZZ, _all_words(2, 3), CAPS),
+    ("untagged-zz-default-caps", GENERIC_ZZ, _all_words(2, 2), None),
+    ("surface2", SURF2, _all_words(4, 2), CAPS),
+    ("free2-unreduced", F2, _all_words(2, 2, reduced=False), CAPS),
+    ("zz-unreduced", ZZ, _all_words(2, 2, reduced=False), CAPS),
+    ("untagged-zz-unreduced", GENERIC_ZZ, _all_words(2, 2, reduced=False), CAPS),
+    ("surface2-unreduced", SURF2, _all_words(4, 2, reduced=False), CAPS),
+]
+
+
+@pytest.mark.parametrize(
+    "pres, words, caps",
+    [case[1:] for case in DIFFERENTIAL_CASES],
+    ids=[case[0] for case in DIFFERENTIAL_CASES],
+)
+def test_words_equal_matches_multiply_first_reference(pres, words, caps):
+    for u in words:
+        for v in words:
+            assert words_equal(pres, u, v, caps) is _reference_words_equal(pres, u, v, caps), (u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [((1, 3), (2,)), ((1,), (0, 2)), ((2, -4), (5,)), ((0,), (-3,)), ((1, 2), (2, -3, 0))],
+    ids=["u", "v-zero", "u-of-both", "zero-of-both", "v-first-of-two"],
+)
+def test_words_equal_names_the_reference_bad_letter(u, v):
+    for pres in (F2, ZZ, GENERIC_ZZ):
+        got = _outcome(words_equal, pres, u, v, None)
+        assert got.startswith("ValueError: letter ")
+        assert got == _outcome(_reference_words_equal, pres, u, v, None)

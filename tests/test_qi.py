@@ -12,6 +12,14 @@ def gens(pres, *texts):
     return [parse_word(t, pres) for t in texts]
 
 
+@pytest.mark.parametrize(
+    "gens_a, gens_b", [(None, []), ([], [(1,), (2,)]), ([], [])], ids=["b", "a", "both"]
+)
+def test_empty_generating_set_is_rejected(gens_a, gens_b):
+    with pytest.raises(ValueError, match="generating sets must be nonempty"):
+        compare_metrics(ZZ, gens_a, gens_b, 2)
+
+
 def test_identical_generating_sets():
     report = compare_metrics(ZZ, None, gens(ZZ, "a", "b"), 4)
     assert (report.lam, report.c) == (1.0, 0)

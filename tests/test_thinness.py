@@ -148,6 +148,25 @@ def test_random_sample_rejects_nonpositive_count(count):
         delta_estimate(ball, sample_count=count, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sample_count": 5, "seed": None}, "explicit seed"),
+        ({"sample_count": 0, "seed": 1}, "sample count must be at least 1"),
+    ],
+    ids=["no-seed", "zero-count"],
+)
+def test_bad_sampling_arguments_fail_before_the_distance_matrix(monkeypatch, kwargs, message):
+    ball = build_ball(ZZ, 3)
+
+    def no_matrix(self):
+        raise AssertionError("built the distance matrix")
+
+    monkeypatch.setattr(cayley.CayleyBall, "distance_matrix", no_matrix)
+    with pytest.raises(ValueError, match=message):
+        delta_estimate(ball, **kwargs)
+
+
 def test_canonical_choice_variant_no_larger():
     ball = build_ball(ZZ, 4)
     tri = (0, ball.vertex_of(parse_word("aa", ZZ)), ball.vertex_of(parse_word("bb", ZZ)))
