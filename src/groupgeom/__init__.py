@@ -8,6 +8,7 @@ from .words import (
     Presentation,
     SymmetrizedRelatorSet,
     Word,
+    conjugacy_rep,
     cyclic_reduce,
     format_presentation,
     format_word,

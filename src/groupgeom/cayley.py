@@ -174,8 +174,9 @@ class ElementIndex:
                 return cand
             if answer is Tristate.UNKNOWN:
                 raise UndecidedError(
-                    "equality oracle returned Unknown while deduplicating elements; "
-                    "raise the budget"
+                    "equality oracle returned Unknown while deduplicating elements: "
+                    "this presentation has no exact equality test, and the area "
+                    "search can prove two words equal but never different"
                 )
         return None
 

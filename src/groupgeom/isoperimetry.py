@@ -23,6 +23,7 @@ from .words import (
     EMPTY,
     Presentation,
     Word,
+    conjugacy_rep,
     free_reduce,
     reduce_onto,
     shortlex_key,
@@ -86,6 +87,8 @@ ORACLE_CAPS = AreaCaps(max_area=8, max_intermediate_length=32)  # words_equal's 
 
 def default_caps(presentation: Presentation, length: int) -> AreaCaps:
     """The caps ``area`` and ``dehn_function`` use for words of up to ``length`` letters."""
+    if length < 0:
+        raise ValueError("word length must be nonnegative")
     longest = symmetrize(presentation).max_length
     return AreaCaps(max_area=16, max_intermediate_length=2 * length + longest)
 
@@ -154,18 +157,19 @@ def _heuristic(word: Word, forms) -> int:
 def _neighbors(word: Word, members, max_length: int):
     """All single relator moves from ``word`` within the length cap.
 
-    For member rho split as rho = s + u, an occurrence of s may be swapped
-    for u^-1; cut = 0 inserts a whole inverted relator.
+    ``members`` pairs each symmetrized member rho with its inverted
+    suffixes.  For rho split as rho = s + u, an occurrence of s may be
+    swapped for u^-1; cut = 0 inserts a whole inverted relator.
     """
     n = len(word)
     for pos in range(n + 1):
-        for rho in members:
+        for rho, suffixes in members:
             limit = min(len(rho), n - pos)
             lcp = 0
             while lcp < limit and word[pos + lcp] == rho[lcp]:
                 lcp += 1
             for cut in range(lcp + 1):
-                repl = tuple(-x for x in reversed(rho[cut:]))
+                repl = suffixes[cut]
                 if n - cut + len(repl) > max_length + 2:  # cheap pre-filter
                     continue
                 out = list(word[:pos])
@@ -188,14 +192,15 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     start = free_reduce(word)
     if start == EMPTY:
         return AreaResult(0, caps, ())
-    members = symmetrize(presentation).members
-    if not members:
+    relators = symmetrize(presentation)
+    if not relators.members:
         return AreaResult(None, caps, None)
     if any(abelian_residue(presentation, start)):
         # Moves preserve the abelianized residue and the empty word has
         # residue zero, so no derivation exists at any cap.
         return AreaResult(None, caps, None)
     forms = _pairing_forms(presentation)
+    members = tuple(zip(relators.members, relators.inverted_suffixes))
     max_len = caps.max_intermediate_length
     if len(start) > max_len:
         return AreaResult(None, caps, None)
@@ -285,10 +290,19 @@ def dehn_function(
     presentation: Presentation, n_max: int, caps: Optional[AreaCaps] = None
 ) -> DehnTable:
     """Worst-case area over identity words of length <= n, per even n;
-    raises ``UndecidedError`` when the caps or the state budget run out."""
+    raises ``UndecidedError`` when the caps or the state budget run out.
+
+    Area is invariant under cyclic permutation and inversion (both give
+    the same van Kampen diagram), so one search runs per class: on its
+    ``conjugacy_rep``, remembered for the rest of the call.  The rows,
+    ``argmax`` and ``words_examined`` still come word by word.
+    """
+    if n_max < 0:
+        raise ValueError("word length must be nonnegative")
     if caps is None:
         caps = default_caps(presentation, n_max)
     words = _closed_reduced_words(presentation, n_max)
+    areas: dict[Word, Optional[int]] = {}
     rows = []
     best_area = 0
     best_word: Word = EMPTY
@@ -296,7 +310,10 @@ def dehn_function(
     for n in range(2, n_max + 1, 2):
         while idx < len(words) and len(words[idx]) <= n:
             w = words[idx]
-            value = area(presentation, w, caps).value
+            rep = conjugacy_rep(w)
+            if rep not in areas:
+                areas[rep] = area(presentation, rep, caps).value
+            value = areas[rep]
             if value is None:
                 raise UndecidedError(
                     f"area caps {caps} or state budget exhausted on a length-{len(w)} word"

@@ -21,6 +21,7 @@ from .words import (
     EMPTY,
     Presentation,
     Word,
+    conjugacy_rep,
     free_reduce,
     invert,
     multiply,
@@ -111,7 +112,9 @@ def words_equal(
         return Tristate.NOT_EQUAL
     from .isoperimetry import ORACLE_CAPS, area
 
-    result = area(presentation, w, ORACLE_CAPS if caps is None else caps)
+    # w = 1 exactly when its class representative is; that word is
+    # cyclically reduced, so the search starts shorter.
+    result = area(presentation, conjugacy_rep(w), ORACLE_CAPS if caps is None else caps)
     return Tristate.EQUAL if result.value is not None else Tristate.UNKNOWN
 
 

@@ -100,6 +100,15 @@ def rotations(word: Word) -> Iterator[Word]:
         yield word[k:] + word[:k]
 
 
+def conjugacy_rep(word: Iterable[int]) -> Word:
+    """The least cyclic permutation of ``cyclic_reduce(word)`` or of its
+    inverse, in plain tuple order: one word per conjugacy class of the free
+    group, up to inversion.  Empty exactly when ``word`` freely reduces to
+    the empty word."""
+    w = cyclic_reduce(word)
+    return min((*rotations(w), *rotations(invert(w))))
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generators plus relators; relators are stored cyclically reduced.
@@ -162,11 +171,13 @@ class SymmetrizedRelatorSet:
     ``trie`` is their prefix trie: a node maps letter to child, and key 0,
     never a letter, holds ``(member, depth, invert(member[depth:]))`` for the
     shortlex-first member that the path to the node covers by a majority.
+    ``inverted_suffixes[i][cut]`` is ``invert(members[i][cut:])``.
     """
 
     members: tuple[Word, ...]
     max_length: int
     trie: dict = field(compare=False, repr=False)
+    inverted_suffixes: tuple[tuple[Word, ...], ...] = field(compare=False, repr=False)
 
     def majority_prefix(self, letters: Iterable[int]) -> Optional[tuple[Word, int, Word]]:
         """The record of the longest majority prefix of ``letters``, or None."""
@@ -188,15 +199,16 @@ def symmetrize(presentation: Presentation) -> SymmetrizedRelatorSet:
             for rot in rotations(form):
                 seen.add(rot)
     members = tuple(sorted(seen, key=shortlex_key))
+    suffixes = tuple(tuple(invert(m[cut:]) for cut in range(len(m) + 1)) for m in members)
     trie: dict = {}
-    for m in members:
+    for m, inverted in zip(members, suffixes):
         node = trie
         for depth, x in enumerate(m, 1):
             node = node.setdefault(x, {})
             if 2 * depth > len(m) and 0 not in node:
-                node[0] = (m, depth, invert(m[depth:]))
+                node[0] = (m, depth, inverted[depth])
     max_length = max((len(m) for m in members), default=0)
-    return SymmetrizedRelatorSet(members, max_length, trie)
+    return SymmetrizedRelatorSet(members, max_length, trie, suffixes)
 
 
 def standard_presentation(family: str, param: int = 0) -> Presentation:

@@ -14,6 +14,13 @@ def zz_file(tmp_path):
 
 
 @pytest.fixture()
+def f2_file(tmp_path):
+    path = tmp_path / "f2.grp"
+    path.write_text(format_presentation(standard_presentation("free", 2)))
+    return str(path)
+
+
+@pytest.fixture()
 def surf_file(tmp_path):
     path = tmp_path / "surf2.grp"
     path.write_text(format_presentation(standard_presentation("surface", 2)))
@@ -149,6 +156,12 @@ def test_delta_sample_requires_seed(zz_file, capsys):
         (["area", "--pres", "ZZ", "aabbAABB", "--max-area", "-1"], "nonnegative"),
         (["area", "--pres", "ZZ", "aabbAABB", "--max-len", "-3"], "nonnegative"),
         (["dehn-function", "--pres", "ZZ", "--n", "6", "--max-area", "-1"], "nonnegative"),
+        (["dehn-function", "--pres", "ZZ", "--n", "-1"], "word length"),
+        (["dehn-function", "--pres", "ZZ", "--n", "-5"], "word length"),
+        (
+            ["dehn-function", "--pres", "F2", "--n", "-1", "--max-area", "16", "--max-len", "0"],
+            "word length",
+        ),
         (["equal", "--pres", "ZZ", "ab", "ba", "--max-area", "-1"], "nonnegative"),
         (["qi", "--pres", "ZZ", "--gens-b", ",", "--radius", "2"], "generating sets"),
         (
@@ -158,12 +171,13 @@ def test_delta_sample_requires_seed(zz_file, capsys):
     ],
     ids=[
         "sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size",
-        "area-max-area", "area-max-len", "dehn-function-max-area", "equal-max-area",
+        "area-max-area", "area-max-len", "dehn-function-max-area", "dehn-function-n",
+        "dehn-function-n-past-length-cap", "dehn-function-n-free", "equal-max-area",
         "qi-empty-b", "qi-empty-a",
     ],
 )
-def test_out_of_range_counts_are_error_exits(zz_file, capsys, args, message):
-    assert main([zz_file if a == "ZZ" else a for a in args]) == 2
+def test_out_of_range_counts_are_error_exits(zz_file, f2_file, capsys, args, message):
+    assert main([{"ZZ": zz_file, "F2": f2_file}.get(a, a) for a in args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -247,6 +261,7 @@ def _assert_undecided_exit(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    return captured.err
 
 
 def test_normal_form_over_radius_budget_is_undecided(surf_file, capsys):
@@ -263,4 +278,7 @@ def test_dehn_function_with_exhausted_caps_is_undecided(tmp_path, capsys):
 def test_ball_with_unknown_dedup_is_undecided(tmp_path, capsys):
     path = tmp_path / "t.grp"
     path.write_text("gens: a b\nrels: aaa\nrels: bb\nrels: abab\n")
-    _assert_undecided_exit(["ball", "--pres", str(path), "--radius", "2"], capsys)
+    err = _assert_undecided_exit(["ball", "--pres", str(path), "--radius", "2"], capsys)
+    # No caps can make the area search prove two elements different.
+    assert "raise the budget" not in err
+    assert "never different" in err

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from groupgeom import isoperimetry
 from groupgeom.dehn import dehn_reduce
 from groupgeom.isoperimetry import (
     AreaCaps,
@@ -18,7 +19,7 @@ from groupgeom.isoperimetry import (
     _closed_reduced_words,
     _winding_mass,
 )
-from groupgeom.oracle import generate_null_homotopic
+from groupgeom.oracle import UndecidedError, generate_null_homotopic
 from groupgeom.words import (
     EMPTY,
     Presentation,
@@ -35,6 +36,7 @@ from groupgeom.words import (
 ZZ = standard_presentation("zz")
 F2 = standard_presentation("free", 2)
 SURF2 = standard_presentation("surface", 2)
+GENERIC_ZZ = Presentation(("a", "b"), ((1, 2, -1, -2),))  # same relator, untagged
 
 
 def w(text, pres=ZZ):
@@ -184,6 +186,9 @@ def _two_pass_dehn_function(presentation, n_max, caps=None):
         (ZZ, 10, AreaCaps(20, 40)),
         (SURF2, 8, AreaCaps(8, 24)),
         (F2, 8, None),
+        (ZZ, 10, None),
+        (ZZ, 8, AreaCaps(16, 9)),
+        (GENERIC_ZZ, 8, None),
     ],
 )
 def test_dehn_function_matches_two_pass_reference(pres, n_max, caps):
@@ -192,6 +197,36 @@ def test_dehn_function_matches_two_pass_reference(pres, n_max, caps):
     assert [(r.n, r.max_area, r.argmax, r.words_examined) for r in table.rows] == [
         (r.n, r.max_area, r.argmax, r.words_examined) for r in expected
     ]
+
+
+@pytest.mark.parametrize("n_max, searches", [(8, 17), (10, 93)])
+def test_dehn_function_searches_once_per_class(monkeypatch, n_max, searches):
+    calls = []
+
+    def counting_area(presentation, word, caps=None):
+        calls.append(word)
+        return area(presentation, word, caps)
+
+    monkeypatch.setattr(isoperimetry, "area", counting_area)
+    dehn_function(ZZ, n_max)
+    assert len(calls) == searches
+    assert len(set(calls)) == searches
+
+
+@pytest.mark.parametrize(
+    "caps, length", [(AreaCaps(3, 20), 8), (AreaCaps(16, 6), 8), (AreaCaps(0, 0), 4)]
+)
+def test_dehn_function_names_the_first_undecided_word(caps, length):
+    with pytest.raises(UndecidedError, match=f"length-{length} word"):
+        dehn_function(ZZ, 8, caps)
+
+
+@pytest.mark.parametrize(
+    "pres, n_max, caps", [(ZZ, -1, None), (ZZ, -5, None), (F2, -1, AreaCaps(16, 0))]
+)
+def test_dehn_function_rejects_negative_length(pres, n_max, caps):
+    with pytest.raises(ValueError, match="word length must be nonnegative"):
+        dehn_function(pres, n_max, caps)
 
 
 _BLIND_SEARCHES = textwrap.dedent(

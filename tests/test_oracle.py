@@ -30,6 +30,7 @@ ZZ = standard_presentation("zz")
 F2 = standard_presentation("free", 2)
 SURF2 = standard_presentation("surface", 2)
 GENERIC_ZZ = Presentation(("a", "b"), ((1, 2, -1, -2),))  # same relator, untagged
+S3 = Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2)))  # untagged, finite
 
 
 def w(text, pres=ZZ):
@@ -307,6 +308,8 @@ DIFFERENTIAL_CASES = [
     ("zz-unreduced", ZZ, _all_words(2, 2, reduced=False), CAPS),
     ("untagged-zz-unreduced", GENERIC_ZZ, _all_words(2, 2, reduced=False), CAPS),
     ("surface2-unreduced", SURF2, _all_words(4, 2, reduced=False), CAPS),
+    ("untagged-zz-4", GENERIC_ZZ, _all_words(2, 4), CAPS),
+    ("s3", S3, _all_words(2, 2), AreaCaps(4, 6)),
 ]
 
 
@@ -319,6 +322,23 @@ def test_words_equal_matches_multiply_first_reference(pres, words, caps):
     for u in words:
         for v in words:
             assert words_equal(pres, u, v, caps) is _reference_words_equal(pres, u, v, caps), (u, v)
+
+
+def test_area_fallback_searches_the_class_representative(monkeypatch):
+    from groupgeom import isoperimetry
+
+    searched = []
+
+    def recording_area(presentation, word, caps=None):
+        searched.append(word)
+        return area(presentation, word, caps)
+
+    monkeypatch.setattr(isoperimetry, "area", recording_area)
+    u, v = w("aabbAB", GENERIC_ZZ), w("ab", GENERIC_ZZ)
+    assert words_equal(GENERIC_ZZ, u, v) is Tristate.EQUAL
+    # u v^-1 = aabbABBA, cyclically reduced to abbABB; BBAbba is the least
+    # rotation of it and of its inverse.
+    assert searched == [w("BBAbba", GENERIC_ZZ)]
 
 
 @pytest.mark.parametrize(

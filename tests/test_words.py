@@ -7,6 +7,7 @@ from groupgeom.words import (
     EMPTY,
     ParseError,
     Presentation,
+    conjugacy_rep,
     cyclic_reduce,
     format_presentation,
     format_word,
@@ -15,6 +16,7 @@ from groupgeom.words import (
     multiply,
     parse_presentation,
     parse_word,
+    rotations,
     shortlex_key,
     standard_presentation,
     symmetrize,
@@ -185,3 +187,17 @@ def test_shortlex_order():
     words = [w(t) for t in ("ba", "1", "ab", "a", "aA"[:1])]
     ordered = sorted(set(words), key=shortlex_key)
     assert [format_word(x, ZZ) for x in ordered] == ["1", "a", "ab", "ba"]
+
+
+@given(words_f2, words_f2, st.integers(0, 30))
+def test_conjugacy_rep_is_a_class_invariant(word, conjugator, k):
+    rep = conjugacy_rep(word)
+    c = cyclic_reduce(word)
+    assert rep in set(rotations(c)) | set(rotations(invert(c)))
+    if c:
+        k %= len(c)
+        assert conjugacy_rep(c[k:] + c[:k]) == rep
+    assert conjugacy_rep(invert(word)) == rep
+    assert conjugacy_rep(conjugator + word + invert(conjugator)) == rep
+    assert conjugacy_rep(rep) == rep
+    assert (rep == EMPTY) == (free_reduce(word) == EMPTY)
