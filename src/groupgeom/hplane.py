@@ -7,7 +7,9 @@ M = (x-c)^2 + y^2 + R^2 and K = 2R(x-c), the squared-distance function of
 the angle is minimized at cos t = K/M, giving cosh d = sqrt(M^2 - K^2) /
 (2yR) when the foot lands inside the segment).  Only the maximization
 over points p along a side is numerical: coarse samples refined by golden
-section around the best one.
+section around the best one, for every side of a batch of triangles at
+once in numpy arrays (one entry per side, golden-section steps in
+lockstep).  The winning value is recomputed with the scalar functions.
 """
 
 from __future__ import annotations
@@ -15,11 +17,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
+
+import numpy as np
 
 THINNESS_BOUND = math.log(1.0 + math.sqrt(2.0))
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+_CHUNK = 256  # triangles per array pass of a survey; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -121,23 +128,102 @@ def point_to_side(p: HPoint, a: HPoint, b: HPoint) -> float:
     return min(h_dist(p, a), h_dist(p, b))
 
 
-def _refine_max(f, lo: float, hi: float, iterations: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+def _circle(px, py, qx, qy):
+    """``_is_vertical`` and ``_circle_through`` over arrays of point pairs."""
+    scale = np.max([np.ones_like(px), np.abs(px), np.abs(qx), py, qy], axis=0)
+    cx = (qx * qx + qy * qy - px * px - py * py) / (2.0 * (qx - px))
+    return np.abs(px - qx) <= 1e-12 * scale, cx, np.hypot(px - cx, py)
+
+
+def _dist(px, py, qx, qy):
+    return 2.0 * np.arcsinh(np.hypot(px - qx, py - qy) / (2.0 * np.sqrt(py * qy)))
+
+
+def _geodesic(px, py, qx, qy):
+    """``h_geodesic_point`` over arrays of sides: returns t -> (x, y)."""
+    vertical, cx, r = _circle(px, py, qx, qy)
+    up = np.log(np.tan(np.arctan2(py, px - cx) / 2.0))
+    uq = np.log(np.tan(np.arctan2(qy, qx - cx) / 2.0))
+
+    def point(t):
+        theta = 2.0 * np.arctan(np.exp((1.0 - t) * up + t * uq))
+        x = np.where(vertical, px, cx + r * np.cos(theta))
+        return x, np.where(vertical, py * (qy / py) ** t, r * np.sin(theta))
+
+    return point
+
+
+def _to_segment(ax, ay, bx, by):
+    """``point_to_side(., a, b)`` over arrays of sides: returns (x, y) -> d.
+    A repeated vertex takes the vertical branch, whose foot is that vertex."""
+    vertical, cx, r = _circle(ax, ay, bx, by)
+    ta, tb = (
+        np.where(x > 0.0, y / (1.0 + x), (1.0 - x) / y)
+        for x, y in (((ax - cx) / r, ay / r), ((bx - cx) / r, by / r))
+    )
+
+    def dist(x, y):
+        foot = np.clip(np.hypot(x - ax, y), np.minimum(ay, by), np.maximum(ay, by))
+        u, v = (x - cx) / r, y / r
+        foot_tan = np.sqrt(((u - 1.0) ** 2 + v * v) / ((u + 1.0) ** 2 + v * v))
+        on_arc = (np.minimum(ta, tb) <= foot_tan) & (foot_tan <= np.maximum(ta, tb))
+        h = np.hypot(x - cx, y)
+        arc = np.arcsinh(np.abs(h - r) * (h + r) / (2.0 * r * y))
+        ends = np.minimum(_dist(x, y, ax, ay), _dist(x, y, bx, by))
+        return np.where(vertical, _dist(x, y, ax, foot), np.where(on_arc, arc, ends))
+
+    return dist
+
+
+def _golden_max(f, a, b, iterations: int = 60):
+    """Golden-section maximization of f on [a, b], elementwise in lockstep."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    t = c if fc >= fd else d
-    return t, max(fc, fd)
+        left = fc >= fd  # keep [a, d]; else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    return np.where(fc >= fd, c, d), np.maximum(fc, fd)
+
+
+def _thinness_batch(triangles: list, samples_per_side: int) -> list[HTriangleReport]:
+    """``h_triangle_thinness`` of each triangle.  Arrays hold one entry per
+    side (side k runs from vertex k to k + 1); samples go a column at a time."""
+    if samples_per_side < 2:
+        raise ValueError("need at least 2 samples per side")
+    xy = np.array([[(p.x, p.y) for p in tri] for tri in triangles]).transpose(1, 0, 2)
+    (ux, uy), (vx, vy), (wx, wy) = (np.roll(xy, -k, axis=0).reshape(-1, 2).T for k in range(3))
+    with np.errstate(all="ignore"):
+        point = _geodesic(ux, uy, vx, vy)
+        to_vw, to_wu = _to_segment(vx, vy, wx, wy), _to_segment(wx, wy, ux, uy)
+
+        def gap(t):
+            x, y = point(t)
+            return np.minimum(to_vw(x, y), to_wu(x, y))
+
+        ts = np.arange(samples_per_side) / (samples_per_side - 1)
+        best, i = gap(ts[0]), np.zeros(len(ux), dtype=int)
+        for k in range(1, samples_per_side):
+            val = gap(ts[k])
+            best, i = np.maximum(val, best), np.where(val > best, k, i)  # first maximum
+        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, samples_per_side - 1)]
+        t_ref, val_ref = _golden_max(gap, lo, hi)
+    t_ref = np.where(best > val_ref, ts[i], t_ref).reshape(3, -1)
+    val_ref = np.where((ux == vx) & (uy == vy), -np.inf, np.maximum(best, val_ref)).reshape(3, -1)
+    reports = []
+    for j, (k, tri) in enumerate(zip(np.argmax(val_ref, axis=0), triangles)):
+        thinness, at = 0.0, tri[0]
+        if val_ref[k, j] > 0.0:
+            u, v, w = tri[k], tri[k - 2], tri[k - 1]
+            p = h_geodesic_point(u, v, float(t_ref[k, j]))
+            value = min(point_to_side(p, v, w), point_to_side(p, w, u))
+            if value > 0.0:  # a 0-thin triangle reports (0.0, a)
+                thinness, at = value, p
+        reports.append(HTriangleReport(tri, thinness, samples_per_side, at))
+    return reports
 
 
 def h_triangle_thinness(
@@ -145,35 +231,11 @@ def h_triangle_thinness(
 ) -> HTriangleReport:
     """Max over points p on each side of the distance to the other two sides.
 
-    The reported value never overshoots the true maximum (it is a maximum
-    of exact distances at finitely many points), so it respects any upper
-    bound the true value does.
+    A batch of one on the survey's array path.  The reported value is an
+    exact distance at ``maximizing_point``, so it never overshoots the
+    true maximum and respects any upper bound the true value does.
     """
-    if samples_per_side < 2:
-        raise ValueError("need at least 2 samples per side")
-    sides = ((a, b, c), (b, c, a), (c, a, b))
-    best_val = 0.0
-    best_point = a
-    for u, v, w in sides:
-        if u == v:
-            continue
-
-        def gap(t: float, u=u, v=v, w=w) -> float:
-            p = h_geodesic_point(u, v, t)
-            return min(point_to_side(p, v, w), point_to_side(p, w, u))
-
-        ts = [i / (samples_per_side - 1) for i in range(samples_per_side)]
-        vals = [gap(t) for t in ts]
-        i = max(range(len(ts)), key=vals.__getitem__)
-        lo = ts[max(0, i - 1)]
-        hi = ts[min(len(ts) - 1, i + 1)]
-        t_ref, val_ref = _refine_max(gap, lo, hi)
-        if vals[i] > val_ref:
-            t_ref, val_ref = ts[i], vals[i]
-        if val_ref > best_val:
-            best_val = val_ref
-            best_point = h_geodesic_point(u, v, t_ref)
-    return HTriangleReport((a, b, c), best_val, samples_per_side, best_point)
+    return _thinness_batch([(a, b, c)], samples_per_side)[0]
 
 
 def euclid_fat_witness(r: float) -> float:
@@ -232,10 +294,10 @@ def verify_thinness_bound(
     if not 0.0 <= diameter < math.inf:
         raise ValueError(f"diameter must be finite and nonnegative, got {diameter}")
     worst = 0.0
-    for a, b, c in random_triangles(count, seed, diameter):
-        report = h_triangle_thinness(a, b, c, samples_per_side)
-        if report.thinness > worst:
-            worst = report.thinness
+    triangles = random_triangles(count, seed, diameter)
+    while chunk := list(islice(triangles, _CHUNK)):
+        for report in _thinness_batch(chunk, samples_per_side):
+            worst = max(worst, report.thinness)
     return ThinnessSurvey(
         max_thinness=worst,
         bound=THINNESS_BOUND,

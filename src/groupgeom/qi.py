@@ -83,7 +83,8 @@ def compare_metrics(
 
     ``gens_a`` of None means the presentation's own generators.  Distances
     from the identity are exact within each radius-``radius`` search, so
-    the fit runs over the elements both searches reached.
+    the fit runs over the elements both searches reached.  Each set's words
+    must lie in the other set's search (else ValueError).
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -96,6 +97,10 @@ def compare_metrics(
     index = ElementIndex(presentation, caps)
     da = _metric_bfs(index, gens_a, radius)
     db = _metric_bfs(index, gens_b, radius)
+    for gens, dist in ((gens_a, db), (gens_b, da)):
+        if any(index.find_or_add(w) not in dist for w in gens):
+            raise ValueError(f"a word of one set is not within radius {radius} of the other: the "
+                             "sets may not generate the same group, or the radius is too small")
     common = sorted(set(da) & set(db))
     pairs = [(da[e], db[e]) for e in common]
     for c in range(0, max((max(ds, dt) for ds, dt in pairs), default=0) + 1):

@@ -1,10 +1,15 @@
 import math
 import random
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from groupgeom import hplane
 from groupgeom.hplane import (
+    _CHUNK,
+    _GOLDEN,
     THINNESS_BOUND,
     HPoint,
     euclid_fat_witness,
@@ -197,3 +202,186 @@ def test_survey_ladder_monotone():
 def test_survey_rejects_bad_count_and_diameter(count, diameter, message):
     with pytest.raises(ValueError, match=message):
         verify_thinness_bound(count, seed=1, diameter=diameter)
+
+
+# ---------------------------------------------------------------------------
+# the array path against the scalar maximization it replaced
+
+
+def _refine_max(f, lo, hi, iterations=60):
+    """Golden-section maximization of f on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iterations):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    t = c if fc >= fd else d
+    return t, max(fc, fd)
+
+
+def scalar_thinness(a, b, c, samples_per_side):
+    """One triangle at a time with scalar calls: the thinness, and the
+    (value, point) maximum of each nondegenerate side."""
+    best_val, sides = 0.0, []
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+        if u == v:
+            continue
+
+        def gap(t, u=u, v=v, w=w):
+            p = h_geodesic_point(u, v, t)
+            return min(point_to_side(p, v, w), point_to_side(p, w, u))
+
+        ts = [i / (samples_per_side - 1) for i in range(samples_per_side)]
+        vals = [gap(t) for t in ts]
+        i = max(range(len(ts)), key=vals.__getitem__)
+        t_ref, val_ref = _refine_max(gap, ts[max(0, i - 1)], ts[min(len(ts) - 1, i + 1)])
+        if vals[i] > val_ref:
+            t_ref, val_ref = ts[i], vals[i]
+        sides.append((val_ref, h_geodesic_point(u, v, t_ref)))
+        best_val = max(best_val, val_ref)
+    return best_val, sides
+
+
+def assert_matches_scalar(report, samples_per_side):
+    thinness, sides = scalar_thinness(*report.vertices, samples_per_side)
+    assert abs(report.thinness - thinness) <= 1e-9
+    # On a 0-thin triangle the gap is rounding noise and any point attains
+    # it; where two sides tie up to rounding (a mirror-symmetric triangle),
+    # either side's point is a maximizing point.
+    if thinness > 1e-9:
+        tied = [point for value, point in sides if value >= thinness - 1e-12]
+        assert min(h_dist(report.maximizing_point, point) for point in tied) <= 1e-9
+
+
+def assert_exact_at_its_point(report):
+    a, b, c = report.vertices
+    m = report.maximizing_point
+    if report.thinness == 0.0:
+        assert m == a
+        return
+    assert report.thinness in [
+        min(point_to_side(m, v, w), point_to_side(m, w, u))
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
+    ]
+
+
+@pytest.fixture
+def no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+HAND_MADE = {
+    "repeated-vertex": (HPoint(0, 1), HPoint(0, 1), HPoint(1, 1)),
+    "all-equal": (HPoint(0.3, 2), HPoint(0.3, 2), HPoint(0.3, 2)),
+    "collinear-vertical": (HPoint(0, 1), HPoint(0, 2), HPoint(0, 4)),
+    # ab and bc count as vertical; ca is an arc of radius about 1e12
+    "two-vertical-sides": (HPoint(0, 1), HPoint(0, 4), HPoint(3e-12, 2)),
+    "tiny": (HPoint(0, 1), HPoint(1e-3, 1), HPoint(0, 1.0005)),
+    "big-equilateral": tuple(
+        point_at(HPoint(0.0, 1.0), 2 * math.pi * k / 3 + 0.4,
+                 math.asinh(math.sqrt((math.cosh(20.0) - 1.0) / 1.5)))
+        for k in range(3)
+    ),
+}
+
+
+@pytest.mark.parametrize("samples", [2, 3, 16, 48, 64])
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_hand_made_triangles_match_scalar(name, samples, no_warnings):
+    report = h_triangle_thinness(*HAND_MADE[name], samples)
+    assert_matches_scalar(report, samples)
+    assert_exact_at_its_point(report)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 16, 48, 64])
+@pytest.mark.parametrize("diameter", [1.0, 4.0, 12.0, 25.0])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_batch_matches_scalar_on_random_triangles(seed, diameter, samples, no_warnings):
+    triangles = list(random_triangles(8, seed, diameter))
+    reports = hplane._thinness_batch(triangles, samples)
+    assert [r.vertices for r in reports] == triangles
+    for report in reports:
+        assert report.samples_per_side == samples
+        assert_matches_scalar(report, samples)
+
+
+@given(points, points, points)
+def test_batch_matches_scalar_on_any_triangle(a, b, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = h_triangle_thinness(a, b, c, 16)
+    assert_matches_scalar(report, 16)
+    assert_exact_at_its_point(report)
+
+
+def test_reported_value_is_exact_at_its_point(no_warnings):
+    for report in hplane._thinness_batch(list(random_triangles(200, 11, 25.0)), 48):
+        assert_exact_at_its_point(report)
+    assert h_triangle_thinness(*HAND_MADE["collinear-vertical"]).thinness == 0.0
+
+
+# max_thinness of verify_thinness_bound(1000, seed=7, diameter=d), the
+# surveys of criterion 8, computed triangle by triangle with scalar_thinness
+# at 48 samples per side (about 20 s, too slow to repeat in every run)
+CRITERION_8_SCALAR = {
+    25.0: 0.8812560741597141,
+    1.0: 0.2323005220329464,
+    2.0: 0.42681230562951783,
+    4.0: 0.6739532217332642,
+    8.0: 0.8390402592088926,
+    16.0: 0.879290988110339,
+}
+
+
+@pytest.mark.parametrize("diameter", sorted(CRITERION_8_SCALAR))
+def test_criterion_8_surveys_match_scalar(diameter, no_warnings):
+    survey = verify_thinness_bound(1000, seed=7, diameter=diameter)
+    assert abs(survey.max_thinness - CRITERION_8_SCALAR[diameter]) <= 1e-9
+
+
+def test_survey_runs_in_chunks_and_matches_scalar(monkeypatch):
+    chunks = []
+    batch = hplane._thinness_batch
+
+    def recording(triangles, samples_per_side):
+        reports = batch(triangles, samples_per_side)
+        chunks.append(reports)
+        return reports
+
+    monkeypatch.setattr(hplane, "_thinness_batch", recording)
+    survey = verify_thinness_bound(_CHUNK + 1, seed=4, diameter=12.0, samples_per_side=16)
+    assert [len(c) for c in chunks] == [_CHUNK, 1]
+    reports = [r for c in chunks for r in c]
+    assert [r.vertices for r in reports] == list(random_triangles(_CHUNK + 1, 4, 12.0))
+    for report in reports:
+        assert_matches_scalar(report, 16)
+    assert survey.max_thinness == max(r.thinness for r in reports)
+
+
+def test_survey_memory_does_not_grow_with_count():
+    peaks = []
+    for count in (_CHUNK, 4 * _CHUNK):
+        tracemalloc.start()
+        try:
+            verify_thinness_bound(count, seed=2, diameter=25.0, samples_per_side=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+def test_survey_rejects_too_few_samples():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        verify_thinness_bound(3, seed=1, samples_per_side=1)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        h_triangle_thinness(HPoint(0, 1), HPoint(1, 1), HPoint(0, 2), 1)

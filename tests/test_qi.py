@@ -66,10 +66,25 @@ def test_role_swap_gives_valid_constants_each_way():
 
 
 def test_free_rank_two_doubled_generators():
-    # {aa, b} only generates a proper subgroup, so the comparison runs
-    # over the elements both searches reach and still fits constants.
-    report = compare_metrics(F2, None, gens(F2, "aa", "b"), 5)
-    assert report.lam >= 1.0
+    # {aa, b} only generates a proper subgroup: a is never reached.
+    with pytest.raises(ValueError, match="may not generate the same group"):
+        compare_metrics(F2, None, gens(F2, "aa", "b"), 5)
+
+
+@pytest.mark.parametrize(
+    "pres, gens_a, gens_b, radius",
+    [
+        (ZZ, None, ("a",), 3),  # <a> is a proper subgroup of Z^2
+        (ZZ, ("a",), ("a", "b"), 3),  # the same with the roles swapped
+        (ZZ, None, ("a", "b"), 0),  # only the identity is reached
+        (F1, None, ("aa", "aaa"), 2),  # aaa is 3 steps of a
+    ],
+    ids=["subgroup-b", "subgroup-a", "radius-0", "radius-too-small"],
+)
+def test_each_set_must_reach_the_other(pres, gens_a, gens_b, radius):
+    gens_a = None if gens_a is None else gens(pres, *gens_a)
+    with pytest.raises(ValueError, match="or the radius is too small"):
+        compare_metrics(pres, gens_a, gens(pres, *gens_b), radius)
 
 
 def test_minimal_quarters_edge_cases():
