@@ -38,12 +38,10 @@ from .oracle import (
     words_equal,
 )
 from .cayley import (
-    BallDistance,
     CayleyBall,
     ElementIndex,
     GeodesicPath,
     all_geodesics,
-    ball_distance,
     build_ball,
 )
 from .thinness import ThinnessReport, ThinnessWitness, delta_estimate, triangle_thinness

@@ -24,11 +24,6 @@ from .words import Presentation, Word, free_reduce, letter_key, multiply
 VertexRef = Union[int, Word]
 
 
-class BallDistance(NamedTuple):
-    value: int
-    possibly_clipped: bool
-
-
 class GeodesicPath(NamedTuple):
     vertices: tuple[int, ...]
     labels: tuple[int, ...]
@@ -150,10 +145,11 @@ class CayleyBall:
 class ElementIndex:
     """Word deduplication by group element.
 
-    Families with a normal form (free, zz) get O(1) lookups; everything
-    else is bucketed by abelianized residue and compared pairwise with the
-    equality oracle.  An Unknown comparison raises rather than risking a
-    merged or split element.
+    Presentations with a :func:`normal_form` (no relators, or the tagged
+    commuting pair) get O(1) lookups; everything else is bucketed by
+    abelianized residue and compared pairwise with the equality oracle.
+    An Unknown comparison raises rather than risking a merged or split
+    element.
     """
 
     def __init__(self, presentation: Presentation, caps: Optional[AreaCaps] = None):
@@ -249,21 +245,6 @@ def build_ball(
             adjacency[v][-letter] = u
         u += 1
     return CayleyBall(presentation, radius, index.reps, dist, adjacency)
-
-
-def ball_distance(ball: CayleyBall, u: VertexRef, v: VertexRef) -> BallDistance:
-    """Shortest path length inside the ball.
-
-    The flag reports when the boundary may have clipped every group
-    geodesic; the value is then only an upper bound on the distance in
-    the full group, though still exact for the ball graph.
-    """
-    iu, iv = ball._resolve(u), ball._resolve(v)
-    d = ball.distances_from(iu)[iv]
-    if d < 0:
-        raise ValueError("vertices are disconnected inside the ball")
-    clipped = ball.dist[iu] + ball.dist[iv] + d > 2 * ball.radius
-    return BallDistance(d, clipped)
 
 
 def all_geodesics(

@@ -1,13 +1,14 @@
 """Three-valued word equality, canonical forms, and identity-word generation.
 
-Family-built presentations get exact strategies (normal forms for the
-free and commuting families, greedy rewriting for surface groups, whose
-reliability ``verify_dehn_presentation`` checks).  Presentations with a
-normal form also get every identity word up to a length.  Arbitrary
-presentations get a sound but incomplete strategy: an abelianized
-certificate for "different" and a budgeted minimal-rewrite search for
-"equal", with Unknown when the budget runs out.  A definite answer is
-never wrong.
+The relators choose the exact strategies: a presentation without relators
+gets the free normal form, and one whose relators satisfy the
+small-cancellation condition C'(1/6) gets greedy rewriting, which that
+condition makes exact.  The family tag adds only the commuting pair's
+``a^i b^j`` normal form.  Presentations with a normal form also get every
+identity word up to a length.  Every other presentation gets a sound but
+incomplete strategy: an abelianized certificate for "different" and a
+budgeted minimal-rewrite search for "equal", with Unknown when the budget
+runs out.  A definite answer is never wrong.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .words import (
     invert,
     multiply,
     shortlex_key,
+    small_cancellation,
     symmetrize,
 )
 
@@ -105,7 +107,7 @@ def words_equal(
     nf = normal_form(presentation, w)
     if nf is not None:
         return Tristate.EQUAL if nf == EMPTY else Tristate.NOT_EQUAL
-    if presentation.family == "surface":
+    if small_cancellation(presentation):
         reduced, _ = dehn_reduce(presentation, w)
         return Tristate.EQUAL if reduced == EMPTY else Tristate.NOT_EQUAL
     if any(abelian_residue(presentation, w)):
@@ -119,16 +121,15 @@ def words_equal(
 
 
 def normal_form(presentation: Presentation, word: Word) -> Optional[Word]:
-    """Exact normal form of the element, for families that have one.
+    """Exact normal form of the element, where one is known.
 
-    Free: the freely reduced word.  Commuting pair: ``a^i b^j``.  None for
-    every other presentation.  Two words name the same element exactly
-    when their normal forms agree.
+    No relators: the freely reduced word.  The tagged commuting pair:
+    ``a^i b^j``.  None for every other presentation.  Two words name the
+    same element exactly when their normal forms agree.
     """
-    family = presentation.family
-    if family == "free":
+    if not presentation.relators:
         return free_reduce(word)
-    if family == "zz":
+    if presentation.family == "zz":
         i, j, _ = zz_normal_form(word)
         return (1 if i > 0 else -1,) * abs(i) + (2 if j > 0 else -2,) * abs(j)
     return None
@@ -143,7 +144,7 @@ def canonical_form(
 ) -> Word:
     """A canonical spelling of the element named by ``word``.
 
-    The :func:`normal_form` where the family has one.  Other families: the
+    The :func:`normal_form` where there is one.  Otherwise: the
     representative stored at the word's vertex in a Cayley ball, the
     shortlex-least geodesic spelling of the element, so any ball that
     reaches the word gives the same answer.  The largest ball built so far

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import CayleyBall, VertexRef, all_geodesics, check_memory
+from .cayley import CayleyBall, VertexRef, check_memory
 
 # Bytes of side entries delta_estimate keeps at once, about 10k sides of
 # the 3,193-vertex surface ball; evicting one only means computing it again.
@@ -109,16 +109,10 @@ def _evaluate(sides):
 
 
 def triangle_thinness(
-    ball: CayleyBall,
-    x: VertexRef,
-    y: VertexRef,
-    z: VertexRef,
-    worst_case: bool = True,
+    ball: CayleyBall, x: VertexRef, y: VertexRef, z: VertexRef
 ) -> tuple[int, ThinnessWitness]:
     """Thinness of one triangle, with a witness configuration.
 
-    ``worst_case=False`` evaluates a single canonical choice instead (the
-    lexicographically least geodesic per side), which can only be thinner.
     All three vertex pairs must be unclipped so the ball's geodesics are
     the group's.
     """
@@ -130,8 +124,6 @@ def triangle_thinness(
                     f"pair {tri[i]},{tri[j]} may have geodesics clipped by the ball boundary"
                 )
     D = ball.distance_matrix()
-    if not worst_case:
-        return _canonical_choice_thinness(ball, tri, D)
     ends = [(tri[ia], tri[ib]) for ia, ib, _ in _SIDES]
     sides = [_side(ball, a, b, D) for a, b in ends]
     delta, si, p = _evaluate([(nodes, M[row[b]]) for (nodes, row, M), (_, b) in zip(sides, ends)])
@@ -145,25 +137,6 @@ def triangle_thinness(
     others = paths[(si + 1) % 3] + paths[(si + 2) % 3]
     q = min(others, key=lambda v: (D[p][v], v))
     witness = ThinnessWitness(tri, ends[si], p, q, delta, tuple(paths))
-    return delta, witness
-
-
-def _canonical_choice_thinness(ball, tri, D):
-    paths = []
-    for ia, ib, _ in _SIDES:
-        geos, _trunc = all_geodesics(ball, tri[ia], tri[ib], cap=1)
-        paths.append(geos[0].vertices)
-    best = (-1, 0, 0, 0)
-    for si in range(3):
-        union = sorted(set(paths[(si + 1) % 3]) | set(paths[(si + 2) % 3]))
-        for p in paths[si]:
-            q = min(union, key=lambda v: (D[p][v], v))
-            d = int(D[p][q])
-            if d > best[0]:
-                best = (d, si, p, q)
-    delta, si, p, q = best
-    ia, ib, _ = _SIDES[si]
-    witness = ThinnessWitness(tri, (tri[ia], tri[ib]), p, q, delta, tuple(paths))
     return delta, witness
 
 
@@ -193,7 +166,8 @@ def _triples(ball: CayleyBall, D: np.ndarray, sample_count, seed):
     rng = random.Random(seed)
     chosen = set()
     attempts = 0
-    while len(chosen) < sample_count and attempts < 200 * sample_count:
+    # A ball of fewer than 3 vertices holds no triangle to draw.
+    while n >= 3 and len(chosen) < sample_count and attempts < 200 * sample_count:
         attempts += 1
         picks = sorted(rng.sample(range(n), 3))
         i, j, k = picks

@@ -211,6 +211,29 @@ def symmetrize(presentation: Presentation) -> SymmetrizedRelatorSet:
     return SymmetrizedRelatorSet(members, max_length, trie, suffixes)
 
 
+@lru_cache(maxsize=None)
+def small_cancellation(presentation: Presentation) -> bool:
+    """Whether the relators satisfy the metric small-cancellation condition
+    C'(1/6): every piece ``u`` of a symmetrized member ``r`` has
+    ``6|u| < |r|``, where a piece is a common prefix of two distinct members.
+
+    Under it, Greendlinger's lemma puts more than half of some member in
+    every freely reduced nonempty identity word, so Dehn's algorithm decides
+    the word problem.  False whenever a relator is a proper power, whose
+    pieces need a finer definition.
+    """
+    # A word has fewer distinct rotations than letters exactly when it is a power.
+    if any(len(set(rotations(r))) < len(r) for r in presentation.relators):
+        return False
+    # In tuple order, a member's longest piece is shared with a sorted neighbour.
+    members = sorted(symmetrize(presentation).members)
+    for u, v in zip(members, members[1:]):
+        shared = next((k for k, (x, y) in enumerate(zip(u, v)) if x != y), min(len(u), len(v)))
+        if 6 * shared >= min(len(u), len(v)):
+            return False
+    return True
+
+
 def standard_presentation(family: str, param: int = 0) -> Presentation:
     """Build one of the named families: ``free``, ``zz``, or ``surface``.
 

@@ -1,6 +1,6 @@
 import pytest
 
-from groupgeom.cayley import all_geodesics, ball_distance, build_ball
+from groupgeom.cayley import all_geodesics, build_ball
 from groupgeom.isoperimetry import AreaCaps
 from groupgeom.oracle import Tristate, canonical_form, words_equal
 from groupgeom.words import Presentation, parse_word, standard_presentation
@@ -62,23 +62,22 @@ def test_generic_presentation_ball_with_oracle_dedup():
     assert len(ball) == 13
 
 
-def test_ball_distance_examples():
+def test_distances_from_examples():
     ball = build_ball(ZZ, 4)
-    assert ball_distance(ball, (), parse_word("ab", ZZ)).value == 2
-    assert ball_distance(ball, parse_word("ab", ZZ), parse_word("ab", ZZ)).value == 0
+    ab = parse_word("ab", ZZ)
+    assert ball.distances_from(())[ball.vertex_of(ab)] == 2
+    assert ball.distances_from(ab)[ball.vertex_of(ab)] == 0
     free_ball = build_ball(F2, 4)
-    assert ball_distance(free_ball, (1,), (2,)).value == 2
+    assert free_ball.distances_from((1,))[free_ball.vertex_of((2,))] == 2
 
 
-def test_ball_distance_flags_possible_clipping():
+def test_unclipped_flags_possible_clipping():
     ball = build_ball(ZZ, 2)
-    far = ball_distance(ball, parse_word("aa", ZZ), parse_word("AA", ZZ))
-    assert far.possibly_clipped
-    near = ball_distance(ball, (), parse_word("a", ZZ))
-    assert not near.possibly_clipped
+    assert not ball.unclipped(parse_word("aa", ZZ), parse_word("AA", ZZ))
+    assert ball.unclipped((), parse_word("a", ZZ))
 
 
-def test_ball_distance_triangle_inequality():
+def test_distance_matrix_triangle_inequality():
     ball = build_ball(ZZ, 3)
     mat = ball.distance_matrix()
     n = len(ball)

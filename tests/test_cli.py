@@ -1,9 +1,11 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from groupgeom.cli import main
-from groupgeom.words import format_presentation, standard_presentation
+from groupgeom.words import Presentation, format_presentation, standard_presentation
 
 
 @pytest.fixture()
@@ -126,6 +128,22 @@ def test_delta_text_and_json(zz_file, capsys):
     assert payload["delta"] == 2
     assert payload["samplingPolicy"] == "exhaustive"
     assert payload["witness"]["distance"] == 2
+
+
+@pytest.mark.parametrize("relator", ["a", "aa"])
+def test_delta_sample_of_a_ball_without_triangles(tmp_path, capsys, relator):
+    path = tmp_path / "cyclic.grp"
+    path.write_text(f"gens: a\nrels: {relator}\n")
+    argv = ["delta", "--pres", str(path), "--radius", "2", "--sample", "3", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "delta=0 triangles=0\n"
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "delta": 0,
+        "trianglesExamined": 0,
+        "samplingPolicy": "random(seed=1, count=3)",
+        "witness": None,
+    }
 
 
 def test_delta_sample_requires_seed(zz_file, capsys):
@@ -283,3 +301,34 @@ def test_ball_with_unknown_dedup_is_undecided(tmp_path, capsys):
     # No caps can make the area search prove two elements different.
     assert "raise the budget" not in err
     assert "never different" in err
+
+
+def _untagged_file(tmp_path, family, param):
+    """The standard presentation's file without its family line."""
+    pres = standard_presentation(family, param)
+    path = tmp_path / "untagged.grp"
+    path.write_text(format_presentation(Presentation(pres.generators, pres.relators)))
+    return str(path)
+
+
+def _ball_json(pres_file, radius, capsys):
+    assert main(["ball", "--pres", pres_file, "--radius", str(radius)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_untagged_free_group_answers_like_the_tagged_one(tmp_path, f2_file, capsys):
+    untagged = _untagged_file(tmp_path, "free", 2)
+    assert Path(untagged).read_text() == "gens: a b\n"
+    assert main(["equal", "--pres", untagged, "ab", "ba"]) == 1
+    assert capsys.readouterr().out == "NOT-EQUAL\n"
+    assert _ball_json(untagged, 2, capsys) == _ball_json(f2_file, 2, capsys)
+
+
+def test_untagged_surface_group_answers_like_the_tagged_one(tmp_path, surf_file, capsys):
+    untagged = _untagged_file(tmp_path, "surface", 2)
+    assert Path(untagged).read_text() == "gens: a b c d\nrels: abABcdCD\n"
+    assert main(["equal", "--pres", untagged, "Cdc", "d"]) == 1
+    assert capsys.readouterr().out == "NOT-EQUAL\n"
+    ball = _ball_json(untagged, 3, capsys)
+    assert Counter(ball["dist"]) == {0: 1, 1: 8, 2: 56, 3: 392}
+    assert ball == _ball_json(surf_file, 3, capsys)

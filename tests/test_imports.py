@@ -92,3 +92,46 @@ def test_detector_flags_a_private_name_kept_only_for_tests():
         "cli.py": "from . import thinness\n\nthinness._SIDES\n",
     }
     assert _unreferenced_private_names(sources) == ["thinness.py: _adversary_path (line 8)"]
+
+
+# The family tag may name a file's construction (words.py), label a bench
+# table (bench.py) and give the commuting pair its normal form.  Every
+# other strategy follows from the relators, so a new switch on the tag
+# anywhere else is a regression.
+TAG_READERS = {"words.py": None, "bench.py": None, "oracle.py": {"normal_form"}}
+
+
+def _family_tag_reads(sources: dict[str, str]) -> list[str]:
+    """Reads of ``.family`` outside ``TAG_READERS``, other than the CLI's
+    parsed ``args.family`` (which names a presentation to build)."""
+    found = []
+    for module, source in sources.items():
+        for definition in ast.parse(source).body:
+            allowed = TAG_READERS.get(module, set())
+            if allowed is None or getattr(definition, "name", None) in allowed:
+                continue
+            for node in ast.walk(definition):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "family"
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+                ):
+                    found.append(f"{module}: line {node.lineno}")
+    return found
+
+
+def test_family_tag_read_only_where_allowed():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert _family_tag_reads(sources) == []
+
+
+def test_detector_flags_a_family_switch():
+    sources = {
+        "oracle.py": (
+            "def normal_form(p, w):\n    return p.family\n\n\n"
+            "def words_equal(p, u, v):\n    if p.family == 'surface':\n        return u\n"
+        ),
+        "cli.py": "def main(args):\n    return args.family, pres.family\n",
+        "words.py": "def format_presentation(p):\n    return p.family\n",
+    }
+    assert _family_tag_reads(sources) == ["oracle.py: line 6", "cli.py: line 2"]

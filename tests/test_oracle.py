@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from groupgeom.dehn import dehn_reduce, zz_normal_form
 from groupgeom.isoperimetry import AreaCaps, area
@@ -24,6 +25,7 @@ from groupgeom.words import (
     parse_word,
     shortlex_key,
     standard_presentation,
+    symmetrize,
 )
 
 ZZ = standard_presentation("zz")
@@ -60,6 +62,28 @@ def test_generic_with_budget_certifies():
 def test_surface_equality_via_rewriting():
     assert words_equal(SURF2, parse_word("abABc", SURF2), parse_word("dcD", SURF2)) is Tristate.EQUAL
     assert words_equal(SURF2, parse_word("ab", SURF2), parse_word("ba", SURF2)) is Tristate.NOT_EQUAL
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+@given(data=st.data())
+def test_untagged_surface_answers_like_the_tagged_one(genus, data):
+    tagged = standard_presentation("surface", genus)
+    untagged = Presentation(tagged.generators, tagged.relators)
+    words = st.lists(st.sampled_from(tagged.letters()), max_size=8).map(tuple)
+    u, v = data.draw(words), data.draw(words)
+    # Splicing in a relator member gives a pair that is equal.
+    member = data.draw(st.sampled_from(symmetrize(tagged).members))
+    cut = data.draw(st.integers(0, len(u)))
+    for x, y in ((u, v), (u, u[:cut] + member + u[cut:])):
+        answer = words_equal(untagged, x, y)
+        assert answer is not Tristate.UNKNOWN
+        assert answer is words_equal(tagged, x, y)
+
+
+def test_untagged_free_group_uses_the_free_normal_form():
+    untagged = Presentation(("a", "b"))
+    assert normal_form(untagged, w("abBA", F2)) == EMPTY
+    assert words_equal(untagged, w("ab", F2), w("ba", F2)) is Tristate.NOT_EQUAL
 
 
 def test_alphabet_mismatch_raises():

@@ -7,8 +7,8 @@ import pytest
 
 from groupgeom import cayley, thinness
 from groupgeom.cayley import build_ball
-from groupgeom.thinness import ThinnessWitness, delta_estimate, triangle_thinness
-from groupgeom.words import parse_presentation, parse_word, standard_presentation
+from groupgeom.thinness import ThinnessReport, ThinnessWitness, delta_estimate, triangle_thinness
+from groupgeom.words import Presentation, parse_presentation, parse_word, standard_presentation
 
 ZZ = standard_presentation("zz")
 F2 = standard_presentation("free", 2)
@@ -148,6 +148,15 @@ def test_random_sample_rejects_nonpositive_count(count):
         delta_estimate(ball, sample_count=count, seed=1)
 
 
+@pytest.mark.parametrize("relator", [(1,), (1, 1)], ids=["a", "aa"])
+def test_random_sample_of_a_ball_without_triangles(relator):
+    ball = build_ball(Presentation(("a",), (relator,)), 2)
+    assert len(ball) == len(relator)
+    assert delta_estimate(ball) == ThinnessReport(0, None, 0, "exhaustive")
+    sampled = delta_estimate(ball, sample_count=3, seed=1)
+    assert sampled == ThinnessReport(0, None, 0, "random(seed=1, count=3)")
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -165,14 +174,6 @@ def test_bad_sampling_arguments_fail_before_the_distance_matrix(monkeypatch, kwa
     monkeypatch.setattr(cayley.CayleyBall, "distance_matrix", no_matrix)
     with pytest.raises(ValueError, match=message):
         delta_estimate(ball, **kwargs)
-
-
-def test_canonical_choice_variant_no_larger():
-    ball = build_ball(ZZ, 4)
-    tri = (0, ball.vertex_of(parse_word("aa", ZZ)), ball.vertex_of(parse_word("bb", ZZ)))
-    worst, _ = triangle_thinness(ball, *tri)
-    slim, _ = triangle_thinness(ball, *tri, worst_case=False)
-    assert slim <= worst
 
 
 def test_surface_ball_delta_small():

@@ -18,6 +18,7 @@ from groupgeom.words import (
     parse_word,
     rotations,
     shortlex_key,
+    small_cancellation,
     standard_presentation,
     symmetrize,
 )
@@ -106,6 +107,53 @@ def test_symmetrize_size_and_lengths(relators):
     assert len(sym.members) <= 2 * sum(len(r) for r in pres.relators)
     lengths = {len(r) for r in pres.relators}
     assert all(len(m) in lengths for m in sym.members)
+
+
+SMALL_CANCELLATION_CASES = [
+    ("surface2", SURF2, True),  # largest piece ratio 1/8
+    ("surface3", standard_presentation("surface", 3), True),
+    ("surface6", standard_presentation("surface", 6), True),  # 1/24
+    ("a-killed", Presentation(("a", "b"), ((1,),)), True),  # no pieces at all
+    ("zz", ZZ, False),  # 1/4
+    ("aac", Presentation(("a", "c"), ((1, 1, 2),)), False),  # 1/3
+    ("torsion", Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2))), False),
+    # No two members share a letter up front; only the power check declines.
+    ("proper-power", Presentation(("a", "b"), ((1, 2, 1, 2),)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "pres, certified",
+    [case[1:] for case in SMALL_CANCELLATION_CASES],
+    ids=[case[0] for case in SMALL_CANCELLATION_CASES],
+)
+def test_small_cancellation_verdicts(pres, certified):
+    assert small_cancellation(pres) is certified
+
+
+def _pairwise_small_cancellation(pres):
+    """C'(1/6) from every pair of members, with the same power rule."""
+    for r in pres.relators:
+        if any(rot == r for rot in list(rotations(r))[1:]):
+            return False
+    members = symmetrize(pres).members
+    for u in members:
+        for v in members:
+            shared = 0
+            while u != v and shared < min(len(u), len(v)) and u[shared] == v[shared]:
+                shared += 1
+            if 6 * shared >= len(u):
+                return False
+    return True
+
+
+letters_f4 = st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4])
+
+
+@given(st.lists(st.lists(letters_f4, min_size=1, max_size=16).map(tuple), max_size=3))
+def test_small_cancellation_matches_pairwise_pieces(relators):
+    pres = Presentation(("a", "b", "c", "d"), tuple(relators))
+    assert small_cancellation(pres) is _pairwise_small_cancellation(pres)
 
 
 def test_standard_presentations():
