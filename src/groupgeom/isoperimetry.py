@@ -25,7 +25,6 @@ from .words import (
     Word,
     conjugacy_rep,
     free_reduce,
-    reduce_onto,
     shortlex_key,
     symmetrize,
 )
@@ -93,18 +92,19 @@ def default_caps(presentation: Presentation, length: int) -> AreaCaps:
     return AreaCaps(max_area=16, max_intermediate_length=2 * length + longest)
 
 
-def _winding_mass(word: Iterable[int], x: int, y: int) -> int:
-    """Total variation of the word's winding profile in the (x, y) plane.
+def _winding(word: Iterable[int], x: int, y: int):
+    """Winding field and lattice points of the word's path in the (x, y) plane.
 
     Project the word to a lattice path (generator x moves horizontally, y
-    vertically, everything else stays put) and sum |winding number| over
-    all unit cells.  The quantity is invariant under free reduction, and a
-    relator move adds a translate of the applied relator's own profile, so
-    it changes by at most that relator's mass: dividing by the largest
-    member mass gives an admissible, consistent move-count bound.
+    vertically, everything else stays put).  The field maps each unit
+    cell, named by its lower-left corner, to the path's nonzero winding
+    number around it: the net count of upward crossings to its right.
+    ``points[i]`` is the lattice point before letter i (the last one is
+    the end point).  Free reduction leaves the field unchanged.
     """
     rows: dict[int, dict[int, int]] = {}
     px = py = 0
+    points = [(0, 0)]
     for letter in word:
         g = abs(letter)
         s = 1 if letter > 0 else -1
@@ -115,21 +115,39 @@ def _winding_mass(word: Iterable[int], x: int, y: int) -> int:
             row = rows.setdefault(j, {})
             row[px] = row.get(px, 0) + s
             py += s
-    mass = 0
-    for row in rows.values():
+        points.append((px, py))
+    field = {}
+    for j, row in rows.items():
         cols = sorted(row)
         suffix = 0
         for i in range(cols[-1] - 1, cols[0] - 1, -1):
             suffix += row.get(i + 1, 0)
-            mass += abs(suffix)
-    return mass
+            if suffix:
+                field[i, j] = suffix
+    return field, points
+
+
+def _winding_mass(word: Iterable[int], x: int, y: int) -> int:
+    """Total variation of the word's winding profile in the (x, y) plane:
+    the sum of |winding number| over all unit cells.
+
+    The quantity is invariant under free reduction, and a relator move
+    subtracts a translate of the applied member's own field, so it changes
+    by at most that member's mass: dividing by the largest member mass
+    gives an admissible, consistent move-count bound.  The search computes
+    it from scratch once per expanded word and updates it per move on the
+    member's cells only (``_moved_mass``).
+    """
+    return sum(map(abs, _winding(word, x, y)[0].values()))
 
 
 @lru_cache(maxsize=None)
-def _pairing_forms(presentation: Presentation) -> tuple[tuple[int, int, int], ...]:
-    """(x, y, scale) triples usable as admissible lower bounds; empty when
-    some relator has a nonzero exponent sum (the winding profile is then
-    not a loop and its move increment is not controlled)."""
+def _pairing_forms(presentation: Presentation):
+    """(x, y, scale, fields) per pairing form usable as an admissible lower
+    bound, where ``fields[k]`` lists the (cell, winding) pairs of the k-th
+    symmetrized member's own field; empty when some relator has a nonzero
+    exponent sum (the winding profile is then not a loop and its move
+    increment is not controlled)."""
     rank = presentation.rank
     for rel in presentation.relators:
         if any(exponent_vector(rel, rank)):
@@ -139,43 +157,79 @@ def _pairing_forms(presentation: Presentation) -> tuple[tuple[int, int, int], ..
     for x, y in combinations(range(1, rank + 1), 2):
         scale = max((_winding_mass(m, x, y) for m in members), default=0)
         if scale > 0:
-            forms.append((x, y, scale))
+            fields = tuple(tuple(_winding(m, x, y)[0].items()) for m in members)
+            forms.append((x, y, scale, fields))
     return tuple(forms)
 
 
-def _heuristic(word: Word, forms) -> int:
-    if not word:
-        return 0
-    best = 1
-    for x, y, scale in forms:
-        h = -(-_winding_mass(word, x, y) // scale)  # ceil div
-        if h > best:
-            best = h
-    return best
+def _winding_states(word: Word, forms) -> list:
+    """Per pairing form, ``(scale, (field, points, mass, member fields))``
+    of ``word``: all that scoring its moves reads, built in one pass."""
+    states = []
+    for x, y, scale, fields in forms:
+        field, points = _winding(word, x, y)
+        states.append((scale, (field, points, sum(map(abs, field.values())), fields)))
+    return states
+
+
+def _moved_mass(state, pos: int, k: int) -> int:
+    """Winding mass of the word that the k-th member's move at ``pos`` makes.
+
+    Every path in one search is closed (forms exist only when every
+    relator has exponent sum zero, and the start word has residue zero),
+    so the move subtracts the member's own field translated to the point
+    before ``pos``, and the mass changes only on that field's few cells.
+    """
+    field, points, mass, fields = state
+    px, py = points[pos]
+    for (dx, dy), v in fields[k]:
+        f = field.get((px + dx, py + dy), 0)
+        mass += abs(f - v) - abs(f)
+    return mass
 
 
 def _neighbors(word: Word, members, max_length: int):
-    """All single relator moves from ``word`` within the length cap.
+    """Single relator moves from freely reduced ``word`` within the length
+    cap, as ``(pos, cut, k, neighbour)`` in (pos, member) order.
 
     ``members`` pairs each symmetrized member rho with its inverted
-    suffixes.  For rho split as rho = s + u, an occurrence of s may be
-    swapped for u^-1; cut = 0 inserts a whole inverted relator.
+    suffixes.  For rho split as rho = s + u at ``cut``, an occurrence of s
+    at ``pos`` may be swapped for u^-1; cut = 0 inserts a whole inverted
+    relator.  Since u^-1 = rho^-1 s freely, every cut at one (pos, rho)
+    gives the same word, ``word[:pos] + rho^-1 + word[pos:]`` freely
+    reduced, so only one is tried: the least cut that passes the cheap
+    pre-filter ``n - cut + |u| <= max_length + 2`` and that s still covers.
+    The filter drops some moves whose word would fit the cap; it stays,
+    because which move the search records first depends on it.
+
+    ``word`` and u^-1 are freely reduced, so letters cancel only at the
+    two seams, and reach across from the left seam to the right once u^-1
+    is used up.  The cut points are found by comparing letters and the
+    reduced length is checked before ``word[:i] + u^-1[a:b] + word[j:]``
+    is built.
     """
     n = len(word)
+    least = [max(0, (n + len(rho) - max_length - 1) // 2) for rho, _ in members]
     for pos in range(n + 1):
-        for rho, suffixes in members:
-            limit = min(len(rho), n - pos)
-            lcp = 0
-            while lcp < limit and word[pos + lcp] == rho[lcp]:
-                lcp += 1
-            for cut in range(lcp + 1):
-                repl = suffixes[cut]
-                if n - cut + len(repl) > max_length + 2:  # cheap pre-filter
-                    continue
-                out = list(word[:pos])
-                reduce_onto(out, repl + word[pos + cut :])
-                if len(out) <= max_length:
-                    yield pos, cut, rho, repl, tuple(out)
+        for k, (rho, suffixes) in enumerate(members):
+            cut = least[k]
+            if cut and (cut > len(rho) or word[pos : pos + cut] != rho[:cut]):
+                continue
+            repl = suffixes[cut]
+            i, j = pos, pos + cut
+            a, b = 0, len(repl)
+            while a < b and i and word[i - 1] == -repl[a]:
+                i -= 1
+                a += 1
+            while a < b and j < n and repl[b - 1] == -word[j]:
+                b -= 1
+                j += 1
+            if a == b:
+                while i and j < n and word[i - 1] == -word[j]:
+                    i -= 1
+                    j += 1
+            if i + b - a + n - j <= max_length:
+                yield pos, cut, k, word[:i] + repl[a:b] + word[j:]
 
 
 def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None) -> AreaResult:
@@ -205,7 +259,7 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     if len(start) > max_len:
         return AreaResult(None, caps, None)
 
-    h0 = _heuristic(start, forms)
+    h0 = max([1] + [-(-_winding_mass(start, x, y) // scale) for x, y, scale, _ in forms])
     if h0 > caps.max_area:
         return AreaResult(None, caps, None)
     # Ties in f resolved toward small h then short words, so the search
@@ -230,18 +284,24 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
             return AreaResult(g, caps, tuple(reversed(moves)))
         if g >= caps.max_area:
             continue
-        for pos, cut, rho, repl, nxt in _neighbors(w, members, max_len):
+        states = _winding_states(w, forms)
+        for pos, cut, k, nxt in _neighbors(w, members, max_len):
             ng = g + 1
             old = best.get(nxt)
             if old is not None and old <= ng:
                 continue
-            nh = _heuristic(nxt, forms)
+            nh = 0
+            if nxt:
+                nh = 1
+                for scale, state in states:
+                    nh = max(nh, -(-_moved_mass(state, pos, k) // scale))  # ceil div
             if ng + nh > caps.max_area:
                 continue
             best[nxt] = ng
             if len(best) > _MAX_STATES:
                 return AreaResult(None, caps, None)
-            parent[nxt] = (w, AreaMove(pos, w[pos : pos + cut], repl, rho))
+            rho, suffixes = members[k]
+            parent[nxt] = (w, AreaMove(pos, w[pos : pos + cut], suffixes[cut], rho))
             counter += 1
             heapq.heappush(heap, (ng + nh, nh, len(nxt), counter, nxt))
     return AreaResult(None, caps, None)

@@ -33,7 +33,8 @@ class ParseError(ValueError):
 def reduce_onto(out: list[int], letters: Iterable[int]) -> tuple[int, int]:
     """Append ``letters`` to ``out``, deleting adjacent inverse pairs as they meet.
 
-    Every free reduction in the package runs through this loop.  A freely
+    Products and Dehn steps reduce through this loop; the area search
+    finds its cancellations at the two seams of a move instead.  A freely
     reduced ``out`` stays freely reduced.  Returns the number of deleted
     pairs and the shortest length ``out`` reached, which is how far the
     cancellation cascaded back into the letters it held before.
@@ -142,6 +143,17 @@ class Presentation:
                 reduced.append(r)
         object.__setattr__(self, "relators", tuple(reduced))
         object.__setattr__(self, "generators", tuple(self.generators))
+        # Every per-presentation cache hashes its key on each lookup.
+        fields = (self.generators, self.relators, self.family, self.family_param)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes differ between
+        # processes, so a stored hash must not travel with a pickle.
+        return Presentation, (self.generators, self.relators, self.family, self.family_param)
 
     @property
     def rank(self) -> int:

@@ -1,32 +1,49 @@
+import heapq
 import os
 import subprocess
 import sys
 import textwrap
 from collections import deque
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupgeom import isoperimetry
 from groupgeom.dehn import dehn_reduce
 from groupgeom.isoperimetry import (
     AreaCaps,
+    AreaMove,
+    AreaResult,
     DehnRow,
     area,
     default_caps,
     dehn_function,
     fit_growth,
     _closed_reduced_words,
+    _moved_mass,
+    _neighbors,
+    _pairing_forms,
     _winding_mass,
+    _winding_states,
 )
-from groupgeom.oracle import UndecidedError, generate_null_homotopic
+from groupgeom.oracle import (
+    UndecidedError,
+    abelian_residue,
+    exponent_vector,
+    generate_null_homotopic,
+)
 from groupgeom.words import (
     EMPTY,
     Presentation,
+    Word,
+    conjugacy_rep,
     free_reduce,
     invert,
     multiply,
     parse_word,
+    reduce_onto,
     rotations,
     shortlex_key,
     standard_presentation,
@@ -300,3 +317,246 @@ def test_area_bounded_by_dehn_steps_on_surface_sample():
     for word in sample:
         _, trace = dehn_reduce(SURF2, word)
         assert area(SURF2, word, caps).value <= trace.step_count
+
+
+# The area search before seam-only moves and the incremental winding
+# bound, kept verbatim (names prefixed ``_reference``) as the reference
+# for the differential tests below: every neighbour runs through
+# ``reduce_onto`` and every pushed word gets its winding masses from
+# scratch.
+
+
+def _reference_winding_mass(word, x, y):
+    rows = {}
+    px = py = 0
+    for letter in word:
+        g = abs(letter)
+        s = 1 if letter > 0 else -1
+        if g == x:
+            px += s
+        elif g == y:
+            j = py if s > 0 else py - 1
+            row = rows.setdefault(j, {})
+            row[px] = row.get(px, 0) + s
+            py += s
+    mass = 0
+    for row in rows.values():
+        cols = sorted(row)
+        suffix = 0
+        for i in range(cols[-1] - 1, cols[0] - 1, -1):
+            suffix += row.get(i + 1, 0)
+            mass += abs(suffix)
+    return mass
+
+
+def _reference_pairing_forms(presentation):
+    rank = presentation.rank
+    for rel in presentation.relators:
+        if any(exponent_vector(rel, rank)):
+            return ()
+    members = symmetrize(presentation).members
+    forms = []
+    for x, y in combinations(range(1, rank + 1), 2):
+        scale = max((_reference_winding_mass(m, x, y) for m in members), default=0)
+        if scale > 0:
+            forms.append((x, y, scale))
+    return tuple(forms)
+
+
+def _reference_heuristic(word, forms):
+    if not word:
+        return 0
+    best = 1
+    for x, y, scale in forms:
+        h = -(-_reference_winding_mass(word, x, y) // scale)  # ceil div
+        if h > best:
+            best = h
+    return best
+
+
+def _reference_neighbors(word, members, max_length):
+    n = len(word)
+    for pos in range(n + 1):
+        for rho, suffixes in members:
+            limit = min(len(rho), n - pos)
+            lcp = 0
+            while lcp < limit and word[pos + lcp] == rho[lcp]:
+                lcp += 1
+            for cut in range(lcp + 1):
+                repl = suffixes[cut]
+                if n - cut + len(repl) > max_length + 2:  # cheap pre-filter
+                    continue
+                out = list(word[:pos])
+                reduce_onto(out, repl + word[pos + cut :])
+                if len(out) <= max_length:
+                    yield pos, cut, rho, repl, tuple(out)
+
+
+def _reference_area(presentation, word, caps=None):
+    presentation.check_word(word)
+    if caps is None:
+        caps = default_caps(presentation, len(word))
+    start = free_reduce(word)
+    if start == EMPTY:
+        return AreaResult(0, caps, ())
+    relators = symmetrize(presentation)
+    if not relators.members:
+        return AreaResult(None, caps, None)
+    if any(abelian_residue(presentation, start)):
+        return AreaResult(None, caps, None)
+    forms = _reference_pairing_forms(presentation)
+    members = tuple(zip(relators.members, relators.inverted_suffixes))
+    max_len = caps.max_intermediate_length
+    if len(start) > max_len:
+        return AreaResult(None, caps, None)
+
+    h0 = _reference_heuristic(start, forms)
+    if h0 > caps.max_area:
+        return AreaResult(None, caps, None)
+    counter = 0
+    heap = [(h0, h0, len(start), counter, start)]
+    best = {start: 0}
+    parent: dict[Word, tuple[Word, AreaMove]] = {}
+    while heap:
+        f, h, _, _, w = heapq.heappop(heap)
+        g = best[w]
+        if f > g + h:
+            continue  # stale entry
+        if w == EMPTY:
+            moves = []
+            cur = w
+            while cur != start:
+                prev, move = parent[cur]
+                moves.append(move)
+                cur = prev
+            return AreaResult(g, caps, tuple(reversed(moves)))
+        if g >= caps.max_area:
+            continue
+        for pos, cut, rho, repl, nxt in _reference_neighbors(w, members, max_len):
+            ng = g + 1
+            old = best.get(nxt)
+            if old is not None and old <= ng:
+                continue
+            nh = _reference_heuristic(nxt, forms)
+            if ng + nh > caps.max_area:
+                continue
+            best[nxt] = ng
+            if len(best) > isoperimetry._MAX_STATES:
+                return AreaResult(None, caps, None)
+            parent[nxt] = (w, AreaMove(pos, w[pos : pos + cut], repl, rho))
+            counter += 1
+            heapq.heappush(heap, (ng + nh, nh, len(nxt), counter, nxt))
+    return AreaResult(None, caps, None)
+
+
+def _commutator(x, y):
+    return (x, y, -x, -y)
+
+
+# (presentation, largest max_area drawn).  The last two have relators with
+# nonzero exponent sums, so their search is blind (no pairing form) and
+# grows fastest; their caps stay small.
+_DIFFERENTIAL_PRESENTATIONS = {
+    "untagged zz": (GENERIC_ZZ, 6),
+    "three commuting": (
+        Presentation(("a", "b", "c"), (_commutator(1, 2), _commutator(1, 3), _commutator(2, 3))),
+        5,
+    ),
+    "heisenberg": (
+        Presentation(
+            ("a", "b"),
+            (
+                multiply((1,), _commutator(1, 2), (-1,), invert(_commutator(1, 2))),
+                multiply((2,), _commutator(1, 2), (-2,), invert(_commutator(1, 2))),
+            ),
+        ),
+        3,
+    ),
+    "surface 2": (SURF2, 3),
+    "torsion": (Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2))), 3),
+    "bs(1,2)": (Presentation(("a", "b"), ((2, 1, -2, -1, -1),)), 3),
+}
+
+
+@st.composite
+def _area_inputs(draw, presentation, max_area):
+    """A word (a product of relator conjugates, or any word) and caps."""
+    letters = st.sampled_from(presentation.letters())
+    if draw(st.booleans()):
+        word = EMPTY
+        for _ in range(draw(st.integers(1, 3))):
+            c = tuple(draw(st.lists(letters, max_size=3)))
+            rho = draw(st.sampled_from(symmetrize(presentation).members))
+            word = multiply(word, c, rho, invert(c))
+    else:
+        word = tuple(draw(st.lists(letters, max_size=10)))
+    length = len(free_reduce(word)) + draw(st.integers(-1, 10))
+    return word, AreaCaps(draw(st.integers(0, max_area)), max(0, length))
+
+
+@pytest.mark.parametrize("name", _DIFFERENTIAL_PRESENTATIONS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_area_matches_reference_search(name, data):
+    presentation, max_area = _DIFFERENTIAL_PRESENTATIONS[name]
+    word, caps = data.draw(_area_inputs(presentation, max_area))
+    assert area(presentation, word, caps) == _reference_area(presentation, word, caps)
+
+
+@pytest.mark.parametrize(
+    "presentation, word, caps",
+    [
+        (ZZ, w("aabbAABB"), AreaCaps(3, 16)),
+        (ZZ, w("aabbAABB"), AreaCaps(4, 8)),
+        (ZZ, w("aabbAABB"), AreaCaps(4, 9)),
+        (ZZ, w("aabbAABB"), AreaCaps(4, 10)),
+        (ZZ, w("aaabbbAAABBB"), AreaCaps(9, 12)),
+        (ZZ, w("aaabbbAAABBB"), AreaCaps(9, 14)),
+        (GENERIC_ZZ, w("abABabAB"), AreaCaps(2, 8)),
+        (SURF2, symmetrize(SURF2).members[3], AreaCaps(1, 0)),
+        (SURF2, symmetrize(SURF2).members[3], AreaCaps(1, 7)),
+        (SURF2, symmetrize(SURF2).members[3], AreaCaps(0, 8)),
+    ],
+)
+def test_area_matches_reference_search_under_tight_caps(presentation, word, caps):
+    assert area(presentation, word, caps) == _reference_area(presentation, word, caps)
+
+
+def test_area_matches_reference_search_at_the_state_budget():
+    # The two searches of test_blind_area_search_declines_within_its_state_budget:
+    # both run out of states, so the move order up to the budget counts.
+    abc = Presentation(("a", "b", "c"), ((1, 2, -1, -2), (1, 1, 3, -2, 3), (3, 3, 3)))
+    torsion = Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2)))
+    cases = [
+        (abc, conjugacy_rep(multiply(parse_word("Baca", abc), invert(parse_word("C", abc)))), AreaCaps(6, 16)),
+        (torsion, parse_word("bAbAAA", torsion), AreaCaps(6, 14)),
+    ]
+    for presentation, word, caps in cases:
+        result = area(presentation, word, caps)
+        assert result == _reference_area(presentation, word, caps)
+        assert result.value is None
+
+
+@pytest.mark.parametrize("name", _DIFFERENTIAL_PRESENTATIONS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_incremental_winding_mass_matches_the_built_word(name, data):
+    presentation, max_area = _DIFFERENTIAL_PRESENTATIONS[name]
+    word, caps = data.draw(_area_inputs(presentation, max_area))
+    word = free_reduce(word)
+    if any(abelian_residue(presentation, word)):
+        return  # the search never expands such a word
+    forms = _pairing_forms(presentation)
+    relators = symmetrize(presentation)
+    members = tuple(zip(relators.members, relators.inverted_suffixes))
+    states = _winding_states(word, forms)
+    reference = list(_reference_neighbors(word, members, caps.max_intermediate_length))
+    seen = set()
+    for pos, cut, k, nxt in _neighbors(word, members, caps.max_intermediate_length):
+        rho, suffixes = members[k]
+        # The first cut the reference yields at (pos, rho), and the same word.
+        assert next(r for r in reference if r[0] == pos and r[2] == rho)[1:] == (cut, rho, suffixes[cut], nxt)
+        seen.add((pos, rho))
+        for (x, y, _, _), (_, state) in zip(forms, states):
+            assert _moved_mass(state, pos, k) == _winding_mass(nxt, x, y)
+    assert seen == {(pos, rho) for pos, _, rho, _, _ in reference}

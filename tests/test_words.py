@@ -1,4 +1,9 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +180,50 @@ def test_presentation_reduces_relators_silently():
     # a (baBA) A cyclically reduces to baBA; aA vanishes entirely.
     pres = Presentation(("a", "b"), ((1, 2, 1, -2, -1, -1), (1, -1)))
     assert pres.relators == ((2, 1, -2, -1),)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_presentation("surface", 2),
+        lambda: Presentation(SURF2.generators, SURF2.relators),
+        lambda: standard_presentation("zz"),
+        lambda: Presentation(("a", "b"), ((1, 2, -1, -2),)),
+    ],
+    ids=["tagged surface", "untagged surface", "tagged zz", "untagged zz"],
+)
+def test_equal_presentations_hash_equal_and_share_cache_entries(build):
+    from groupgeom.isoperimetry import _pairing_forms
+    from groupgeom.oracle import _lattice_basis
+
+    p, q = build(), build()
+    assert p is not q and p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    for cached in (symmetrize, _pairing_forms, _lattice_basis):
+        assert cached(p) is cached(q)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_unpickled_presentation_hashes_like_one_built_in_its_process():
+    # String hashes differ between processes, so the cached hash must be
+    # recomputed when a pickle is loaded under another hash seed.
+    child = (
+        "import pickle, sys\n"
+        "from groupgeom.words import standard_presentation\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(hash(p) == hash(standard_presentation('surface', 2)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for seed in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps(SURF2),
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=30,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [b"True"]
 
 
 @pytest.mark.parametrize(
