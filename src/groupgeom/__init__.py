@@ -66,4 +66,4 @@ from .hplane import (
     h_triangle_thinness,
     verify_thinness_bound,
 )
-from .bench import BenchRow, BenchTable, WordSource, run_bench
+from .bench import BenchRow, WordSource, run_bench

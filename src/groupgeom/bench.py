@@ -35,13 +35,6 @@ class WordSource:
         if self.kind == "random" and self.seed is None:
             raise ValueError("random word source needs an explicit seed")
 
-    def label(self) -> str:
-        if self.kind == "random":
-            return f"random(seed={self.seed})"
-        if self.kind == "trivial":
-            return f"trivial(insertions={self.insertions})"
-        return "worst"
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -49,14 +42,6 @@ class BenchRow:
     steps: int
     wall_nanos: int
     trials: int
-
-
-@dataclass(frozen=True)
-class BenchTable:
-    solver: str
-    presentation: str
-    source: str
-    rows: tuple[BenchRow, ...]
 
 
 def _worst_case_word(n: int) -> Word:
@@ -90,7 +75,7 @@ def run_bench(
     solver: str,
     sizes: Sequence[int],
     source: WordSource,
-) -> BenchTable:
+) -> tuple[BenchRow, ...]:
     """Worst-case step counts per input size, deterministic across runs."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -128,5 +113,4 @@ def run_bench(
             wall += time.perf_counter_ns() - start
             worst = max(worst, steps)
         rows.append(BenchRow(n, worst, wall, len(words)))
-    label = presentation.family or f"<{' '.join(presentation.generators)}>"
-    return BenchTable(solver, label, source.label(), tuple(rows))
+    return tuple(rows)

@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .isoperimetry import AreaCaps
 from .oracle import Tristate, abelian_residue, normal_form, words_equal, UndecidedError
 from .words import Presentation, Word, free_reduce, letter_key, multiply
 
@@ -152,9 +151,8 @@ class ElementIndex:
     element.
     """
 
-    def __init__(self, presentation: Presentation, caps: Optional[AreaCaps] = None):
+    def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        self.caps = caps
         self.reps: list[Word] = []
         self._exact = normal_form(presentation, ()) is not None
         self._by_key: dict = {}
@@ -165,7 +163,7 @@ class ElementIndex:
             return self._by_key.get(normal_form(self.presentation, word))
         bucket = self._buckets.get(abelian_residue(self.presentation, word), ())
         for cand in bucket:
-            answer = words_equal(self.presentation, word, self.reps[cand], self.caps)
+            answer = words_equal(self.presentation, word, self.reps[cand])
             if answer is Tristate.EQUAL:
                 return cand
             if answer is Tristate.UNKNOWN:
@@ -215,13 +213,11 @@ def check_memory(n: int, bytes_per_pair: int, what: str) -> None:
         )
 
 
-def build_ball(
-    presentation: Presentation, radius: int, caps: Optional[AreaCaps] = None
-) -> CayleyBall:
+def build_ball(presentation: Presentation, radius: int) -> CayleyBall:
     """Breadth-first ball construction with sound element deduplication."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    index = ElementIndex(presentation, caps)
+    index = ElementIndex(presentation)
     index.add(())
     dist: list[int] = [0]
     adjacency: list[dict[int, int]] = [{}]

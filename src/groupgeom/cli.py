@@ -269,7 +269,7 @@ def _dispatch(args) -> int:
     if cmd == "qi":
         gens_b = [parse_word(w.strip(), pres) for w in args.gens_b.split(",") if w.strip()]
         gens_a = None
-        if args.gens_a:
+        if args.gens_a is not None:
             gens_a = [parse_word(w.strip(), pres) for w in args.gens_a.split(",") if w.strip()]
         report = compare_metrics(pres, gens_a, gens_b, args.radius)
         print(f"lambda={_fmt(report.lam)} c={report.c} elements={report.element_count}")
@@ -288,9 +288,9 @@ def _dispatch(args) -> int:
     if cmd == "bench":
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
         source = WordSource(args.source, seed=args.seed, insertions=args.insertions)
-        table = run_bench(pres, args.solver, sizes, source)
+        rows = run_bench(pres, args.solver, sizes, source)
         print("n,steps,wallNanos,trials")
-        for row in table.rows:
+        for row in rows:
             print(f"{row.n},{row.steps},{row.wall_nanos},{row.trials}")
         return 0
 

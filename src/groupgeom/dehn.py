@@ -54,8 +54,6 @@ class DehnVerdict:
     holds: bool
     counterexample: Optional[Word]
     words_checked: int
-    max_insertions: int
-    max_length: int
 
 
 def find_majority_subword(
@@ -152,5 +150,5 @@ def verify_dehn_presentation(
     for checked, w in enumerate(candidates[1:], 1):
         reduced, _ = dehn_reduce(presentation, w)
         if reduced != EMPTY:
-            return DehnVerdict(False, w, checked, max_insertions, max_length)
-    return DehnVerdict(True, None, len(candidates) - 1, max_insertions, max_length)
+            return DehnVerdict(False, w, checked)
+    return DehnVerdict(True, None, len(candidates) - 1)

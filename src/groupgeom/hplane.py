@@ -25,6 +25,7 @@ import numpy as np
 THINNESS_BOUND = math.log(1.0 + math.sqrt(2.0))
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 60  # each shrinks the bracket by _GOLDEN: 60 leave about 3e-13 of it
 
 _CHUNK = 256  # triangles per array pass of a survey; bounds its memory
 
@@ -43,18 +44,14 @@ class HPoint:
 class HTriangleReport:
     vertices: tuple[HPoint, HPoint, HPoint]
     thinness: float
-    samples_per_side: int
     maximizing_point: HPoint
 
 
 @dataclass(frozen=True)
 class ThinnessSurvey:
     max_thinness: float
-    bound: float
     passed: bool
     triangles: int
-    seed: int
-    diameter: float
 
 
 def h_dist(p: HPoint, q: HPoint) -> float:
@@ -175,11 +172,11 @@ def _to_segment(ax, ay, bx, by):
     return dist
 
 
-def _golden_max(f, a, b, iterations: int = 60):
+def _golden_max(f, a, b):
     """Golden-section maximization of f on [a, b], elementwise in lockstep."""
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_STEPS):
         left = fc >= fd  # keep [a, d]; else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
@@ -222,7 +219,7 @@ def _thinness_batch(triangles: list, samples_per_side: int) -> list[HTriangleRep
             value = min(point_to_side(p, v, w), point_to_side(p, w, u))
             if value > 0.0:  # a 0-thin triangle reports (0.0, a)
                 thinness, at = value, p
-        reports.append(HTriangleReport(tri, thinness, samples_per_side, at))
+        reports.append(HTriangleReport(tri, thinness, at))
     return reports
 
 
@@ -298,11 +295,4 @@ def verify_thinness_bound(
     while chunk := list(islice(triangles, _CHUNK)):
         for report in _thinness_batch(chunk, samples_per_side):
             worst = max(worst, report.thinness)
-    return ThinnessSurvey(
-        max_thinness=worst,
-        bound=THINNESS_BOUND,
-        passed=worst < THINNESS_BOUND + 1e-6,
-        triangles=count,
-        seed=seed,
-        diameter=diameter,
-    )
+    return ThinnessSurvey(worst, worst < THINNESS_BOUND + 1e-6, count)

@@ -127,27 +127,13 @@ def _winding(word: Iterable[int], x: int, y: int):
     return field, points
 
 
-def _winding_mass(word: Iterable[int], x: int, y: int) -> int:
-    """Total variation of the word's winding profile in the (x, y) plane:
-    the sum of |winding number| over all unit cells.
-
-    The quantity is invariant under free reduction, and a relator move
-    subtracts a translate of the applied member's own field, so it changes
-    by at most that member's mass: dividing by the largest member mass
-    gives an admissible, consistent move-count bound.  The search computes
-    it from scratch once per expanded word and updates it per move on the
-    member's cells only (``_moved_mass``).
-    """
-    return sum(map(abs, _winding(word, x, y)[0].values()))
-
-
 @lru_cache(maxsize=None)
 def _pairing_forms(presentation: Presentation):
     """(x, y, scale, fields) per pairing form usable as an admissible lower
     bound, where ``fields[k]`` lists the (cell, winding) pairs of the k-th
-    symmetrized member's own field; empty when some relator has a nonzero
-    exponent sum (the winding profile is then not a loop and its move
-    increment is not controlled)."""
+    symmetrized member's own field and ``scale`` is the largest member
+    mass; empty when some relator has a nonzero exponent sum (the winding
+    profile is then not a loop and its move increment is not controlled)."""
     rank = presentation.rank
     for rel in presentation.relators:
         if any(exponent_vector(rel, rank)):
@@ -155,16 +141,25 @@ def _pairing_forms(presentation: Presentation):
     members = symmetrize(presentation).members
     forms = []
     for x, y in combinations(range(1, rank + 1), 2):
-        scale = max((_winding_mass(m, x, y) for m in members), default=0)
+        fields = tuple(tuple(_winding(m, x, y)[0].items()) for m in members)
+        scale = max((sum(abs(v) for _, v in f) for f in fields), default=0)
         if scale > 0:
-            fields = tuple(tuple(_winding(m, x, y)[0].items()) for m in members)
             forms.append((x, y, scale, fields))
     return tuple(forms)
 
 
 def _winding_states(word: Word, forms) -> list:
     """Per pairing form, ``(scale, (field, points, mass, member fields))``
-    of ``word``: all that scoring its moves reads, built in one pass."""
+    of ``word``: all that scoring its moves reads, built in one pass.
+
+    The mass, the sum of |winding number| over all unit cells, is
+    invariant under free reduction, and a relator move subtracts a
+    translate of the applied member's own field, so it changes by at most
+    that member's mass: dividing by ``scale``, the largest member mass,
+    gives an admissible, consistent move-count bound.  The search builds
+    the states once per expanded word and updates the mass per move on
+    the member's cells only (``_moved_mass``).
+    """
     states = []
     for x, y, scale, fields in forms:
         field, points = _winding(word, x, y)
@@ -259,7 +254,7 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     if len(start) > max_len:
         return AreaResult(None, caps, None)
 
-    h0 = max([1] + [-(-_winding_mass(start, x, y) // scale) for x, y, scale, _ in forms])
+    h0 = max([1] + [-(-mass // scale) for scale, (_, _, mass, _) in _winding_states(start, forms)])
     if h0 > caps.max_area:
         return AreaResult(None, caps, None)
     # Ties in f resolved toward small h then short words, so the search
@@ -388,8 +383,8 @@ def dehn_function(
 def fit_growth(table) -> GrowthClass:
     """Log-log least-squares slope, binned into linear / quadratic / other.
 
-    Accepts a DehnTable, a bench table, or bare (n, value) rows.  A table
-    with no positive values classifies linear by convention.
+    Accepts a DehnTable, the rows of ``run_bench``, or bare (n, value)
+    rows.  A table with no positive values classifies linear by convention.
     """
     rows = _extract_rows(table)
     if not rows:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cayley import ElementIndex
-from .isoperimetry import AreaCaps
 from .words import Presentation, Word, invert, multiply
 
 
@@ -22,7 +21,6 @@ from .words import Presentation, Word, invert, multiply
 class QIReport:
     lam: float
     c: int
-    radius: int
     element_count: int
 
 
@@ -77,7 +75,6 @@ def compare_metrics(
     gens_a: Optional[Sequence[Word]],
     gens_b: Sequence[Word],
     radius: int,
-    caps: Optional[AreaCaps] = None,
 ) -> QIReport:
     """Fit the linear comparison constants between two word metrics.
 
@@ -94,7 +91,7 @@ def compare_metrics(
         raise ValueError("generating sets must be nonempty")
     for w in list(gens_a) + list(gens_b):
         presentation.check_word(w)
-    index = ElementIndex(presentation, caps)
+    index = ElementIndex(presentation)
     da = _metric_bfs(index, gens_a, radius)
     db = _metric_bfs(index, gens_b, radius)
     for gens, dist in ((gens_a, db), (gens_b, da)):
@@ -107,5 +104,5 @@ def compare_metrics(
         k = _minimal_quarters(pairs, c)
         if k is not None:
             assert _satisfies(pairs, k, c)
-            return QIReport(k / 4.0, c, radius, len(common))
-    return QIReport(1.0, 0, radius, len(common))  # only the identity seen
+            return QIReport(k / 4.0, c, len(common))
+    return QIReport(1.0, 0, len(common))  # only the identity seen

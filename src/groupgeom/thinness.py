@@ -17,6 +17,7 @@ by one greedy walker that steps toward an endpoint along the DAG.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -166,8 +167,10 @@ def _triples(ball: CayleyBall, D: np.ndarray, sample_count, seed):
     rng = random.Random(seed)
     chosen = set()
     attempts = 0
-    # A ball of fewer than 3 vertices holds no triangle to draw.
-    while n >= 3 and len(chosen) < sample_count and attempts < 200 * sample_count:
+    # No more draws than the triples there are call for; a ball of fewer
+    # than 3 vertices holds none.
+    budget = 200 * min(sample_count, math.comb(n, 3))
+    while len(chosen) < sample_count and attempts < budget:
         attempts += 1
         picks = sorted(rng.sample(range(n), 3))
         i, j, k = picks

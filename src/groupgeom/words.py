@@ -130,7 +130,9 @@ class Presentation:
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
         for name in self.generators:
-            if not name or not name[0].isalpha() or not name.islower() or not name.isalnum():
+            # One lowercase letter, so every word has a text form (``in``
+            # alone would accept substrings such as "ab").
+            if not (len(name) == 1 and name in _LOWER):
                 raise ValueError(f"bad generator name: {name!r}")
         n = len(self.generators)
         reduced = []
@@ -285,8 +287,6 @@ def parse_word(text: str, presentation: Presentation, line: int = 1) -> Word:
         return EMPTY
     table = {}
     for i, name in enumerate(presentation.generators):
-        if len(name) != 1:
-            raise ValueError(f"generator {name!r} has no single-letter text form")
         table[name] = i + 1
         table[name.upper()] = -(i + 1)
     out = []
@@ -302,13 +302,7 @@ def format_word(word: Word, presentation: Presentation) -> str:
     if not word:
         return "1"
     names = presentation.generators
-    out = []
-    for x in word:
-        name = names[abs(x) - 1]
-        if len(name) != 1:
-            raise ValueError(f"generator {name!r} has no single-letter text form")
-        out.append(name if x > 0 else name.upper())
-    return "".join(out)
+    return "".join(names[x - 1] if x > 0 else names[-x - 1].upper() for x in word)
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -1,5 +1,6 @@
 import pytest
 
+from groupgeom import isoperimetry
 from groupgeom.cayley import all_geodesics, build_ball
 from groupgeom.isoperimetry import AreaCaps
 from groupgeom.oracle import Tristate, canonical_form, words_equal
@@ -58,7 +59,7 @@ def test_no_duplicate_elements_small_balls():
 
 def test_generic_presentation_ball_with_oracle_dedup():
     generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
-    ball = build_ball(generic, 2, AreaCaps(6, 24))
+    ball = build_ball(generic, 2)
     assert len(ball) == 13
 
 
@@ -138,12 +139,13 @@ def test_half_radius_distances_match_canonical_length():
                 assert mat[u, v] == len(canonical_form(pres, quotient))
 
 
-def test_build_ball_signals_on_undecided_oracle():
+def test_build_ball_signals_on_undecided_oracle(monkeypatch):
     from groupgeom.oracle import UndecidedError
 
+    monkeypatch.setattr(isoperimetry, "ORACLE_CAPS", AreaCaps(0, 8))
     generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
     with pytest.raises(UndecidedError):
-        build_ball(generic, 2, AreaCaps(0, 8))
+        build_ball(generic, 2)
 
 
 def test_surface_ball_merges_relator_cycles():
@@ -154,6 +156,6 @@ def test_surface_ball_merges_relator_cycles():
 
 def test_length_one_relator_collapses_generator():
     pres = Presentation(("a", "b"), ((1,),))
-    ball = build_ball(pres, 2, AreaCaps(4, 12))
+    ball = build_ball(pres, 2)
     assert len(ball) == 5  # the quotient is free on b
     assert ball.adjacency[0][1] == 0  # a-edge loops at the identity

@@ -186,13 +186,17 @@ def test_delta_sample_requires_seed(zz_file, capsys):
             ["qi", "--pres", "ZZ", "--gens-a", ",", "--gens-b", "a,b", "--radius", "2"],
             "generating sets",
         ),
+        (
+            ["qi", "--pres", "ZZ", "--gens-a", "", "--gens-b", "a,b", "--radius", "2"],
+            "generating sets must be nonempty",
+        ),
         (["qi", "--pres", "ZZ", "--gens-b", "a", "--radius", "3"], "same group"),
     ],
     ids=[
         "sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size",
         "area-max-area", "area-max-len", "dehn-function-max-area", "dehn-function-n",
         "dehn-function-n-past-length-cap", "dehn-function-n-free", "equal-max-area",
-        "qi-empty-b", "qi-empty-a", "qi-subgroup",
+        "qi-empty-b", "qi-empty-a", "qi-blank-a", "qi-subgroup",
     ],
 )
 def test_out_of_range_counts_are_error_exits(zz_file, f2_file, capsys, args, message):

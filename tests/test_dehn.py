@@ -163,8 +163,8 @@ def _union_reference(presentation, max_insertions, max_length):
         checked += 1
         reduced, _ = dehn_reduce(presentation, w)
         if reduced != EMPTY:
-            return DehnVerdict(False, w, checked, max_insertions, max_length)
-    return DehnVerdict(True, None, checked, max_insertions, max_length)
+            return DehnVerdict(False, w, checked)
+    return DehnVerdict(True, None, checked)
 
 
 @pytest.mark.parametrize(

@@ -94,11 +94,10 @@ def test_detector_flags_a_private_name_kept_only_for_tests():
     assert _unreferenced_private_names(sources) == ["thinness.py: _adversary_path (line 8)"]
 
 
-# The family tag may name a file's construction (words.py), label a bench
-# table (bench.py) and give the commuting pair its normal form.  Every
-# other strategy follows from the relators, so a new switch on the tag
-# anywhere else is a regression.
-TAG_READERS = {"words.py": None, "bench.py": None, "oracle.py": {"normal_form"}}
+# The family tag may name a file's construction (words.py) and give the
+# commuting pair its normal form.  Every other strategy follows from the
+# relators, so a new switch on the tag anywhere else is a regression.
+TAG_READERS = {"words.py": None, "oracle.py": {"normal_form"}}
 
 
 def _family_tag_reads(sources: dict[str, str]) -> list[str]:

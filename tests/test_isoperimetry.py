@@ -25,7 +25,7 @@ from groupgeom.isoperimetry import (
     _moved_mass,
     _neighbors,
     _pairing_forms,
-    _winding_mass,
+    _winding,
     _winding_states,
 )
 from groupgeom.oracle import (
@@ -154,12 +154,16 @@ def test_area_residue_obstruction_short_circuits():
     assert area(pres, (1, 1, 1)).value == 1
 
 
+def _mass(word):
+    return sum(map(abs, _winding(word, 1, 2)[0].values()))
+
+
 def test_winding_mass_square_words():
-    assert _winding_mass(w("abAB"), 1, 2) == 1
-    assert _winding_mass(w("aabbAABB"), 1, 2) == 4
-    assert _winding_mass(w("aaabbbAAABBB"), 1, 2) == 9
+    assert _mass(w("abAB")) == 1
+    assert _mass(w("aabbAABB")) == 4
+    assert _mass(w("aaabbbAAABBB")) == 9
     # opposite winding cells: figure-eight has mass 2 though net is 0
-    assert _winding_mass(w("abABaBAb"), 1, 2) == 2
+    assert _mass(w("abABaBAb")) == 2
 
 
 def test_dehn_function_zz_small():
@@ -550,6 +554,8 @@ def test_incremental_winding_mass_matches_the_built_word(name, data):
     relators = symmetrize(presentation)
     members = tuple(zip(relators.members, relators.inverted_suffixes))
     states = _winding_states(word, forms)
+    for (x, y, _, _), (_, state) in zip(forms, states):
+        assert state[2] == _reference_winding_mass(word, x, y)
     reference = list(_reference_neighbors(word, members, caps.max_intermediate_length))
     seen = set()
     for pos, cut, k, nxt in _neighbors(word, members, caps.max_intermediate_length):
@@ -558,5 +564,12 @@ def test_incremental_winding_mass_matches_the_built_word(name, data):
         assert next(r for r in reference if r[0] == pos and r[2] == rho)[1:] == (cut, rho, suffixes[cut], nxt)
         seen.add((pos, rho))
         for (x, y, _, _), (_, state) in zip(forms, states):
-            assert _moved_mass(state, pos, k) == _winding_mass(nxt, x, y)
+            assert _moved_mass(state, pos, k) == _reference_winding_mass(nxt, x, y)
     assert seen == {(pos, rho) for pos, _, rho, _, _ in reference}
+
+
+@pytest.mark.parametrize("name", _DIFFERENTIAL_PRESENTATIONS)
+def test_pairing_form_scales_match_the_reference(name):
+    presentation, _ = _DIFFERENTIAL_PRESENTATIONS[name]
+    forms = [(x, y, scale) for x, y, scale, _ in _pairing_forms(presentation)]
+    assert forms == list(_reference_pairing_forms(presentation))

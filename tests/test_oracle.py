@@ -152,9 +152,9 @@ def test_canonical_form_reuses_the_largest_ball(monkeypatch):
     built = []
     real_build = cayley.build_ball
 
-    def counting_build(presentation, radius, budget=None):
+    def counting_build(presentation, radius):
         built.append(radius)
-        return real_build(presentation, radius, budget)
+        return real_build(presentation, radius)
 
     monkeypatch.setattr(oracle, "_canonical_balls", {})
     monkeypatch.setattr(cayley, "build_ball", counting_build)

@@ -157,6 +157,27 @@ def test_random_sample_of_a_ball_without_triangles(relator):
     assert sampled == ThinnessReport(0, None, 0, "random(seed=1, count=3)")
 
 
+def test_sample_larger_than_the_ball_stops_drawing(monkeypatch):
+    # 13 vertices: C(13, 3) = 286 triples, 26 of them unclipped.
+    ball = build_ball(ZZ, 2)
+    calls = 0
+
+    class CountingRandom(random.Random):
+        def sample(self, population, k, **kwargs):
+            nonlocal calls
+            calls += 1
+            return super().sample(population, k, **kwargs)
+
+    monkeypatch.setattr(thinness.random, "Random", CountingRandom)
+    sampled = delta_estimate(ball, sample_count=10_000, seed=1)
+    assert calls <= 200 * 286
+    full = delta_estimate(ball)
+    assert (sampled.delta, sampled.witness, sampled.triangles_examined) == (
+        full.delta, full.witness, full.triangles_examined
+    )
+    assert full.triangles_examined == 26
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

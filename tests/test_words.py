@@ -176,6 +176,13 @@ def test_standard_presentations():
         standard_presentation("dihedral")
 
 
+@pytest.mark.parametrize("name", ["x1", "ab", "\u00e9", "A", ""])
+def test_generator_names_are_single_lowercase_letters(name):
+    # "ab" in the alphabet string is a substring test and would pass.
+    with pytest.raises(ValueError, match="bad generator name"):
+        Presentation(("y", name))
+
+
 def test_presentation_reduces_relators_silently():
     # a (baBA) A cyclically reduces to baBA; aA vanishes entirely.
     pres = Presentation(("a", "b"), ((1, 2, 1, -2, -1, -1), (1, -1)))
