@@ -78,7 +78,6 @@ class GrowthClass:
     kind: str  # linear | quadratic | other
     exponent: float
     residual: float
-    all_zero: bool = False
 
 
 ORACLE_CAPS = AreaCaps(max_area=8, max_intermediate_length=32)  # words_equal's area caps
@@ -391,7 +390,7 @@ def fit_growth(table) -> GrowthClass:
         raise ValueError("empty table")
     positive = [(n, v) for n, v in rows if v > 0 and n > 0]
     if not positive:
-        return GrowthClass("linear", 0.0, 0.0, all_zero=True)
+        return GrowthClass("linear", 0.0, 0.0)
     if len(positive) < 3:
         raise ValueError("need at least 3 rows with positive values to fit")
     xs = [math.log(n) for n, _ in positive]

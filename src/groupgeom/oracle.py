@@ -191,6 +191,13 @@ def generate_null_homotopic(
             for cut in range(len(w) + 1):
                 head, tail = w[:cut], w[cut:]
                 for rho in members:
+                    # rho here makes the word that its rotation by one letter
+                    # makes at the next cut (rho[0] == w[cut]) or at the one
+                    # before (rho[0] cancels w[cut - 1]).  Members are cyclically
+                    # reduced, so a chain of such skips keeps one direction and
+                    # ends at a pair that is not skipped.
+                    if (cut < len(w) and rho[0] == w[cut]) or (cut and rho[0] == -w[cut - 1]):
+                        continue
                     cand = multiply(head, rho, tail)
                     if len(cand) <= max_length and cand not in seen:
                         grown.add(cand)

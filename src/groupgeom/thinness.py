@@ -17,7 +17,6 @@ by one greedy walker that steps toward an endpoint along the DAG.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ _SIDE_CACHE_BYTES = 64 << 20
 @dataclass(frozen=True)
 class ThinnessWitness:
     triangle: tuple[int, int, int]
-    side: tuple[int, int]
     point: int
     nearest: int
     distance: int
@@ -137,52 +135,28 @@ def triangle_thinness(
             paths.append(tuple(_descend(ball, b, a, D, key=lambda w: -M[row[w], p])[::-1]))
     others = paths[(si + 1) % 3] + paths[(si + 2) % 3]
     q = min(others, key=lambda v: (D[p][v], v))
-    witness = ThinnessWitness(tri, ends[si], p, q, delta, tuple(paths))
+    witness = ThinnessWitness(tri, p, q, delta, tuple(paths))
     return delta, witness
 
 
-def _triples(ball: CayleyBall, D: np.ndarray, sample_count, seed):
-    """The triples ``(i, j, k, longest side)``, ``i < j < k``, that
-    :func:`delta_estimate` examines, and the policy that chose them."""
-    n = len(ball)
+def _triples(ball: CayleyBall, D: np.ndarray) -> np.ndarray:
+    """Rows ``(i, j, k, longest side)``, ``i < j < k``, of every unclipped
+    triple, in the order :func:`delta_estimate` examines them: longest
+    side first, then by corner."""
     d0 = np.asarray(ball.dist, dtype=np.int16)
     # int16 holds depth + depth + distance <= 4 * radius.
     elig = D + d0[:, None]
     elig += d0
     elig = elig <= 2 * ball.radius
-
-    if sample_count is None:
-        triples = []
-        for i in range(n):
-            row_i = elig[i]
-            for j in range(i + 1, n):
-                if not row_i[j]:
-                    continue
-                ks = np.nonzero(row_i[j + 1 :] & elig[j, j + 1 :])[0]
-                dij = int(D[i, j])
-                for k in ks:
-                    kk = int(k) + j + 1
-                    triples.append((i, j, kk, max(dij, int(D[i, kk]), int(D[j, kk]))))
-        return triples, "exhaustive"
-    rng = random.Random(seed)
-    chosen = set()
-    attempts = 0
-    # No more draws than the triples there are call for; a ball of fewer
-    # than 3 vertices holds none.
-    budget = 200 * min(sample_count, math.comb(n, 3))
-    while len(chosen) < sample_count and attempts < budget:
-        attempts += 1
-        picks = sorted(rng.sample(range(n), 3))
-        i, j, k = picks
-        if (i, j, k) in chosen:
-            continue
-        if elig[i, j] and elig[i, k] and elig[j, k]:
-            chosen.add((i, j, k))
-    triples = [
-        (i, j, k, max(int(D[i, j]), int(D[i, k]), int(D[j, k])))
-        for i, j, k in sorted(chosen)
-    ]
-    return triples, f"random(seed={seed}, count={sample_count})"
+    blocks = []
+    for i in range(len(ball)):
+        js = np.nonzero(elig[i, i + 1 :])[0] + i + 1
+        a, b = np.nonzero(np.triu(elig[np.ix_(js, js)], 1))
+        j, k = js[a], js[b]
+        longest = np.maximum(np.maximum(D[i, j], D[i, k]), D[j, k])
+        blocks.append(np.column_stack((np.full_like(j, i), j, k, longest)))
+    rows = np.concatenate(blocks)
+    return rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], -rows[:, 3]))]
 
 
 def delta_estimate(
@@ -193,8 +167,9 @@ def delta_estimate(
     """Max triangle thinness over unclipped vertex triples.
 
     Exhaustive by default; pass ``sample_count`` (at least 1) and ``seed``
-    for a seeded random subset (whose maximum can only undershoot the
-    exhaustive one).
+    for a seeded random subset of those triples, all of them once the
+    count reaches theirs (its maximum can only undershoot the exhaustive
+    one).
     Triangles that provably cannot beat the running maximum are skipped:
     every point on a side is within half that side's length of a shared
     corner, so thinness never exceeds half the longest side.  Raises
@@ -210,9 +185,12 @@ def delta_estimate(
     # D, then the int16 sum and the bool eligibility matrix of _triples.
     check_memory(len(ball), 5, "delta estimation")
     D = ball.distance_matrix()
-    triples, policy = _triples(ball, D, sample_count, seed)
-    examined = len(triples)
-    triples.sort(key=lambda t: (-t[3], t[0], t[1], t[2]))
+    rows = _triples(ball, D)
+    policy = "exhaustive"
+    if sample_count is not None:
+        policy = f"random(seed={seed}, count={sample_count})"
+        picks = random.Random(seed).sample(range(len(rows)), min(sample_count, len(rows)))
+        rows = rows[sorted(picks)]
     # (DAG nodes, adversary vector) per side, least recently used first.
     sides: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
     cached_bytes = 0
@@ -233,9 +211,10 @@ def delta_estimate(
 
     best = 0
     best_triple = None
-    for i, j, k, maxside in triples:
+    for i, j, k, maxside in rows.tolist():
+        # Sides only shorten from here and best only rises: no later row can win.
         if (maxside + 1) // 2 < best:
-            continue
+            break
         delta, _, _ = _evaluate([side(i, j), side(j, k), side(i, k)])
         if delta > best:
             best = delta
@@ -243,4 +222,4 @@ def delta_estimate(
     witness = None
     if best_triple is not None:
         best, witness = triangle_thinness(ball, *best_triple)
-    return ThinnessReport(best, witness, examined, policy)
+    return ThinnessReport(best, witness, len(rows), policy)

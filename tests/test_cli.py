@@ -146,6 +146,12 @@ def test_delta_sample_of_a_ball_without_triangles(tmp_path, capsys, relator):
     }
 
 
+def test_delta_sample_past_the_triple_count_examines_every_triple(surf_file, capsys):
+    argv = ["delta", "--pres", surf_file, "--radius", "3", "--sample", "20000", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "delta=0 triangles=5068\n"
+
+
 def test_delta_sample_requires_seed(zz_file, capsys):
     assert main(["delta", "--pres", zz_file, "--radius", "4", "--sample", "5"]) == 2
 

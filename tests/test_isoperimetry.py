@@ -287,7 +287,7 @@ def test_dehn_function_free_all_zero():
     table = dehn_function(F2, 8)
     assert all(row.max_area == 0 for row in table.rows)
     growth = fit_growth(table)
-    assert growth.kind == "linear" and growth.all_zero
+    assert (growth.kind, growth.exponent, growth.residual) == ("linear", 0.0, 0.0)
 
 
 def test_dehn_function_surface_small():

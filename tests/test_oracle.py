@@ -208,6 +208,44 @@ def test_generate_free_is_trivial():
     assert generate_null_homotopic(F2, 5, 20) == (EMPTY,)
 
 
+def _reference_null_homotopic(presentation, max_insertions, max_length):
+    """``generate_null_homotopic`` before it skipped the insertions that a
+    rotated member repeats: every member at every cut of every word."""
+    members = symmetrize(presentation).members
+    seen = frontier = {EMPTY}
+    for _ in range(max_insertions):
+        grown = {
+            cand
+            for word in frontier
+            for cut in range(len(word) + 1)
+            for rho in members
+            if len(cand := multiply(word[:cut], rho, word[cut:])) <= max_length
+        } - seen
+        seen = seen | grown
+        frontier = grown
+    return tuple(sorted(seen, key=shortlex_key))
+
+
+@pytest.mark.parametrize(
+    "pres, insertions, length",
+    [
+        (ZZ, 3, 12),
+        (ZZ, 4, 10),
+        (SURF2, 2, 16),
+        (standard_presentation("surface", 3), 2, 16),
+        (GENERIC_ZZ, 3, 10),
+        (Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2))), 3, 9),
+        (Presentation(("a", "b"), ((2, 1, -2, -1, -1),)), 2, 12),
+    ],
+    ids=["zz-3-12", "zz-4-10", "surface2-2-16", "surface3-2-16", "generic-zz-3-10",
+         "triangle-3-9", "bs12-2-12"],
+)
+def test_generate_matches_the_plain_insertion_loop(pres, insertions, length):
+    assert generate_null_homotopic(pres, insertions, length) == _reference_null_homotopic(
+        pres, insertions, length
+    )
+
+
 def test_exhaustive_identity_words_families():
     assert exhaustive_identity_words(F2, 8) == (EMPTY,)
     assert exhaustive_identity_words(SURF2, 8) is None

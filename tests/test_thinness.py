@@ -158,7 +158,8 @@ def test_random_sample_of_a_ball_without_triangles(relator):
 
 
 def test_sample_larger_than_the_ball_stops_drawing(monkeypatch):
-    # 13 vertices: C(13, 3) = 286 triples, 26 of them unclipped.
+    # 13 vertices: C(13, 3) = 286 triples, 26 of them unclipped.  One
+    # draw picks the sample from those 26.
     ball = build_ball(ZZ, 2)
     calls = 0
 
@@ -170,7 +171,7 @@ def test_sample_larger_than_the_ball_stops_drawing(monkeypatch):
 
     monkeypatch.setattr(thinness.random, "Random", CountingRandom)
     sampled = delta_estimate(ball, sample_count=10_000, seed=1)
-    assert calls <= 200 * 286
+    assert calls == 1
     full = delta_estimate(ball)
     assert (sampled.delta, sampled.witness, sampled.triangles_examined) == (
         full.delta, full.witness, full.triangles_examined
@@ -197,6 +198,18 @@ def test_bad_sampling_arguments_fail_before_the_distance_matrix(monkeypatch, kwa
         delta_estimate(ball, **kwargs)
 
 
+def test_sample_reaching_every_triple_matches_the_exhaustive_estimate():
+    # 457 vertices, 5,068 unclipped triples among C(457, 3): a sample that
+    # drew vertex triples until it had 20,000 eligible ones would need
+    # millions of draws.
+    ball = build_ball(SURF2, 3)
+    sampled = delta_estimate(ball, 20000, 1)
+    full = delta_estimate(ball)
+    assert sampled.triangles_examined == full.triangles_examined == 5068
+    assert (sampled.delta, sampled.witness) == (full.delta, full.witness)
+    assert sampled.sampling_policy == "random(seed=1, count=20000)"
+
+
 def test_surface_ball_delta_small():
     report = delta_estimate(build_ball(SURF2, 2))
     assert 0 <= report.delta <= 2
@@ -209,10 +222,11 @@ def test_witness_consistency():
     mat = ball.distance_matrix()
     assert wit.distance == report.delta
     assert mat[wit.point, wit.nearest] == report.delta
-    side_a, side_b = wit.side
-    d_side = mat[side_a, side_b]
-    # the witness point lies on a geodesic between the side's endpoints
-    assert mat[side_a, wit.point] + mat[wit.point, side_b] == d_side
+    # the witness point lies on one of the witness geodesics
+    path = next(g for g in wit.geodesics if wit.point in g)
+    assert {path[0], path[-1]} <= set(wit.triangle)
+    assert all(mat[u, v] == 1 for u, v in zip(path, path[1:]))
+    assert len(path) - 1 == mat[path[0], path[-1]]
 
 
 def test_surface_delta_pins():
@@ -362,15 +376,40 @@ def _reference_triangle(ball, tri):
     for o in others:
         paths[o] = _adversary_path(dags[o], D[p])
     q = min((v for o in others for v in paths[o]), key=lambda v: (D[p][v], v))
-    return delta, ThinnessWitness(tri, (tri[ia], tri[ib]), p, int(q), delta, tuple(paths))
+    return delta, ThinnessWitness(tri, p, int(q), delta, tuple(paths))
+
+
+def _reference_triples(ball, D):
+    """The Python double loop that ``thinness._triples`` replaced: every
+    unclipped triple ``(i, j, k, longest side)``, sorted the way
+    ``delta_estimate`` visits them."""
+    n = len(ball)
+    depth = np.asarray(ball.dist, dtype=np.int16)
+    elig = D + depth[:, None] + depth <= 2 * ball.radius
+    triples = []
+    for i in range(n):
+        row_i = elig[i]
+        for j in range(i + 1, n):
+            if not row_i[j]:
+                continue
+            ks = np.nonzero(row_i[j + 1 :] & elig[j, j + 1 :])[0]
+            dij = int(D[i, j])
+            for k in ks:
+                kk = int(k) + j + 1
+                triples.append((i, j, kk, max(dij, int(D[i, kk]), int(D[j, kk]))))
+    return sorted(triples, key=lambda t: (-t[3], t[0], t[1], t[2]))
 
 
 def _reference_scan(ball, sample_count=None, seed=None):
     """Every examined triple with its reference thinness, in the order
     ``delta_estimate`` visits them, and the sampling policy."""
     D = ball.distance_matrix()
-    triples, policy = thinness._triples(ball, D, sample_count, seed)
-    order = sorted(triples, key=lambda t: (-t[3], t[0], t[1], t[2]))
+    order = _reference_triples(ball, D)
+    policy = "exhaustive"
+    if sample_count is not None:
+        policy = f"random(seed={seed}, count={sample_count})"
+        picks = random.Random(seed).sample(range(len(order)), min(sample_count, len(order)))
+        order = [order[x] for x in sorted(picks)]
     return [(t, _reference_evaluate(ball, t[:3], D)[0][0]) for t in order], policy
 
 
@@ -413,6 +452,15 @@ def test_side_vector_matches_reference_dp(index):
         assert np.array_equal(vector, _reference_adversary_distances(dag, everywhere, D))
 
 
+@pytest.mark.parametrize("index", [*range(len(KERNEL_CASES)), None], ids=[*KERNEL_IDS, "surface2-r3"])
+def test_triples_match_the_reference_loop(index):
+    ball = build_ball(SURF2, 3) if index is None else _kernel_ball(index)
+    D = ball.distance_matrix()
+    rows = thinness._triples(ball, D)
+    assert rows.shape == (len(rows), 4)
+    assert rows.tolist() == [list(t) for t in _reference_triples(ball, D)]
+
+
 @pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
 def test_delta_estimate_matches_reference(index):
     ball = _kernel_ball(index)
@@ -426,7 +474,8 @@ def test_delta_estimate_matches_reference(index):
 @pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
 def test_triangle_thinness_matches_reference(index):
     ball = _kernel_ball(index)
-    triples, _ = thinness._triples(ball, ball.distance_matrix(), None, None)
+    # In (i, j, k) order, so the seeded picks do not follow the examination order.
+    triples = sorted(thinness._triples(ball, ball.distance_matrix()).tolist())
     rng = random.Random(index)
     for i, j, k, _ in rng.sample(triples, min(60, len(triples))):
         tri = tuple(rng.sample((i, j, k), 3))
