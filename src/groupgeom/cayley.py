@@ -6,7 +6,8 @@ stored representative is the shortlex-least geodesic spelling of its
 element.  Distances and geodesics are exact for the group whenever the
 query pair is "unclipped": both endpoint depths plus their distance stay
 within twice the radius, which forces some group geodesic to lie in the
-ball.
+ball.  Edges are read off closed relator loops, as in coset enumeration,
+and the equality oracle decides only the rest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .oracle import Tristate, abelian_residue, normal_form, words_equal, UndecidedError
-from .words import Presentation, Word, free_reduce, letter_key, multiply
+from .words import Presentation, Word, free_reduce, invert, letter_key, multiply, symmetrize
 
 VertexRef = Union[int, Word]
 
@@ -148,7 +149,7 @@ class ElementIndex:
     commuting pair) get O(1) lookups; everything else is bucketed by
     abelianized residue and compared pairwise with the equality oracle.
     An Unknown comparison raises rather than risking a merged or split
-    element.
+    element.  :func:`build_ball` asks only where no relator loop closes.
     """
 
     def __init__(self, presentation: Presentation):
@@ -213,8 +214,22 @@ def check_memory(n: int, bytes_per_pair: int, what: str) -> None:
         )
 
 
+def _walk(adjacency: list[dict[int, int]], v: Optional[int], word: Word) -> Optional[int]:
+    """Where ``word`` leads from v along recorded edges; None where it leaves them."""
+    for letter in word:
+        if (v := adjacency[v].get(letter)) is None:
+            break
+    return v
+
+
 def build_ball(presentation: Presentation, radius: int) -> CayleyBall:
-    """Breadth-first ball construction with sound element deduplication."""
+    """Breadth-first ball construction with sound element deduplication.
+
+    Each relator x·s gives u·x = u·s^-1, so an edge comes from such a loop
+    where it reads along recorded edges and from the index only otherwise.
+    Even-length relators make the graph bipartite, so the search stops at
+    depth ``radius``, whose unrecorded edges all leave the ball.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     index = ElementIndex(presentation)
@@ -223,14 +238,18 @@ def build_ball(presentation: Presentation, radius: int) -> CayleyBall:
     adjacency: list[dict[int, int]] = [{}]
 
     letters = presentation.letters()
+    loops = {x: [invert(m[1:]) for m in symmetrize(presentation).members if m[0] == x] for x in letters}
+    bipartite = all(len(r) % 2 == 0 for r in presentation.relators)
     u = 0
-    while u < len(index.reps):
+    while u < len(index.reps) and not (bipartite and dist[u] == radius):
         interior = dist[u] < radius
         for letter in letters:
             if letter in adjacency[u]:
                 continue
-            target = multiply(index.reps[u], (letter,))
-            v = index.find(target)
+            v = next((w for loop in loops[letter] if (w := _walk(adjacency, u, loop)) is not None), None)
+            if v is None:
+                target = multiply(index.reps[u], (letter,))
+                v = index.find(target)
             if v is None:
                 if not interior:
                     continue

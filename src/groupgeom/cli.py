@@ -154,7 +154,8 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (ParseError, ValueError, MemoryError, UndecidedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A failed allocation raises MemoryError with no text.
+        print(f"error: {str(exc) or f'{args.command} ran out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,9 @@ def test_traced_round_nests_the_layer_spans(monkeypatch):
         assert oracle.words_equal(surface, u, v) is Tristate.EQUAL
         # Same residue, different words: only the A* search can answer.
         assert oracle.words_equal(untagged_zz, (1, 2), (2, 1)) is Tristate.EQUAL
-        cayley.build_ball(untagged_zz, 2)
+        # The index still compares each new vertex of this ball with the
+        # vertices in its residue bucket; no relator loop closes onto it.
+        cayley.build_ball(surface, 2)
 
     a = tracer.arrays()
     names = tracer.names

@@ -1,10 +1,13 @@
-import pytest
+from collections import Counter
 
-from groupgeom import isoperimetry
-from groupgeom.cayley import all_geodesics, build_ball
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from groupgeom import cayley, isoperimetry
+from groupgeom.cayley import ElementIndex, all_geodesics, build_ball
 from groupgeom.isoperimetry import AreaCaps
-from groupgeom.oracle import Tristate, canonical_form, words_equal
-from groupgeom.words import Presentation, parse_word, standard_presentation
+from groupgeom.oracle import Tristate, UndecidedError, canonical_form, words_equal
+from groupgeom.words import Presentation, multiply, parse_word, standard_presentation
 
 ZZ = standard_presentation("zz")
 F2 = standard_presentation("free", 2)
@@ -140,12 +143,13 @@ def test_half_radius_distances_match_canonical_length():
 
 
 def test_build_ball_signals_on_undecided_oracle(monkeypatch):
-    from groupgeom.oracle import UndecidedError
-
+    # S3 = <a, b | a^3, b^2, abab>: a and the identity share a residue, no
+    # relator loop closes at the identity, and the area search cannot tell
+    # them apart.
     monkeypatch.setattr(isoperimetry, "ORACLE_CAPS", AreaCaps(0, 8))
-    generic = Presentation(("a", "b"), ((1, 2, -1, -2),))
+    s3 = Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2)))
     with pytest.raises(UndecidedError):
-        build_ball(generic, 2)
+        build_ball(s3, 1)
 
 
 def test_surface_ball_merges_relator_cycles():
@@ -159,3 +163,129 @@ def test_length_one_relator_collapses_generator():
     ball = build_ball(pres, 2)
     assert len(ball) == 5  # the quotient is free on b
     assert ball.adjacency[0][1] == 0  # a-edge loops at the identity
+
+
+# -- relator-loop deduction and the bipartite stop, against the plain BFS --
+
+UNTAGGED_ZZ = Presentation(("a", "b"), ((1, 2, -1, -2),))
+ODD_ZZ = Presentation(("a", "b"), ((1, 2, -1, -2), (1,) * 5))
+
+
+def _commutator(x, y):
+    return (x, y, -x, -y)
+
+
+def _reference_build_ball(presentation, radius):
+    """The breadth-first search that asks the index for every edge."""
+    index = ElementIndex(presentation)
+    index.add(())
+    dist = [0]
+    adjacency = [{}]
+    letters = presentation.letters()
+    u = 0
+    while u < len(index.reps):
+        interior = dist[u] < radius
+        for letter in letters:
+            if letter in adjacency[u]:
+                continue
+            target = multiply(index.reps[u], (letter,))
+            v = index.find(target)
+            if v is None:
+                if not interior:
+                    continue
+                v = index.add(target)
+                dist.append(dist[u] + 1)
+                adjacency.append({})
+            adjacency[u][letter] = v
+            adjacency[v][-letter] = u
+        u += 1
+    return tuple(index.reps), tuple(dist), [list(edges.items()) for edges in adjacency]
+
+
+def _assert_matches_reference(presentation, radius):
+    """Where the plain search builds a ball, build_ball builds the same one,
+    down to vertex order and the insertion order of every vertex's edges."""
+    try:
+        expected = _reference_build_ball(presentation, radius)
+    except UndecidedError:
+        return
+    ball = build_ball(presentation, radius)
+    assert (ball.vertices, ball.dist, [list(e.items()) for e in ball.adjacency]) == expected
+
+
+DIFFERENTIAL_CASES = [
+    (SURF2, 4),
+    (standard_presentation("surface", 3), 3),
+    (ZZ, 9),
+    (UNTAGGED_ZZ, 9),
+    (Presentation(("a", "b", "c"), (_commutator(1, 2), _commutator(1, 3), _commutator(2, 3))), 3),
+    (F2, 4),
+    (Presentation(("a",), ((1,) * 5,)), 4),
+    (ODD_ZZ, 4),
+    (Presentation(("a", "b"), ((1,),)), 3),
+]
+
+
+@pytest.mark.parametrize("presentation, max_radius", DIFFERENTIAL_CASES)
+def test_build_ball_matches_reference(presentation, max_radius):
+    for radius in range(max_radius + 1):
+        _assert_matches_reference(presentation, radius)
+
+
+relator = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(relator, max_size=2), st.integers(0, 3))
+def test_build_ball_matches_reference_on_small_presentations(relators, radius):
+    # Small caps keep each undecided comparison cheap; both searches ask the
+    # same oracle, so the comparison stays exact.
+    saved = isoperimetry.ORACLE_CAPS
+    isoperimetry.ORACLE_CAPS = AreaCaps(2, 12)
+    try:
+        _assert_matches_reference(Presentation(("a", "b"), tuple(relators)), radius)
+    finally:
+        isoperimetry.ORACLE_CAPS = saved
+
+
+def test_untagged_zz_builds_where_the_oracle_alone_could_not():
+    # Two distinct elements in one residue bucket defeat the area search;
+    # relator loops decide every edge of this ball without comparing them.
+    with pytest.raises(UndecidedError):
+        _reference_build_ball(UNTAGGED_ZZ, 11)
+    ball = build_ball(UNTAGGED_ZZ, 11)
+    assert len(ball) == 265
+    assert Counter(ball.dist) == Counter(build_ball(ZZ, 11).dist)
+
+
+def test_untagged_zz_builds_under_tiny_caps(monkeypatch):
+    monkeypatch.setattr(isoperimetry, "ORACLE_CAPS", AreaCaps(0, 8))
+    assert len(build_ball(UNTAGGED_ZZ, 2)) == 13
+
+
+def _find_lengths(monkeypatch):
+    """Record the length of every word build_ball looks up in the index."""
+    lengths = []
+    find = ElementIndex.find
+
+    def counting_find(self, word):
+        lengths.append(len(word))
+        return find(self, word)
+
+    monkeypatch.setattr(cayley.ElementIndex, "find", counting_find)
+    return lengths
+
+
+@pytest.mark.parametrize("presentation, radius", [(SURF2, 3), (UNTAGGED_ZZ, 5), (F2, 3)])
+def test_even_relators_skip_the_boundary_lookups(monkeypatch, presentation, radius):
+    # Representatives are geodesic, so only a vertex at depth ``radius``
+    # looks up a word one letter longer than the radius.
+    lengths = _find_lengths(monkeypatch)
+    build_ball(presentation, radius)
+    assert lengths and max(lengths) <= radius
+
+
+def test_odd_relators_keep_the_boundary_lookups(monkeypatch):
+    lengths = _find_lengths(monkeypatch)
+    build_ball(ODD_ZZ, 3)
+    assert max(lengths) == 4

@@ -285,6 +285,19 @@ def test_delta_too_large_for_memory_is_an_error_exit(zz_file, capsys, monkeypatc
     assert captured.err.startswith("error: delta estimation of a 41-vertex ball needs about")
 
 
+def test_memory_error_without_text_names_the_subcommand(zz_file, capsys, monkeypatch):
+    from groupgeom import cli
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_dispatch", exhausted)
+    assert main(["ball", "--pres", zz_file, "--radius", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ball ran out of memory\n"
+
+
 def _assert_undecided_exit(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
