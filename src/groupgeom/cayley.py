@@ -37,6 +37,7 @@ class CayleyBall:
         self.dist: tuple[int, ...] = tuple(dist)
         self.adjacency: tuple[dict[int, int], ...] = tuple(adjacency)
         self._matrix: Optional[np.ndarray] = None
+        self._nbr: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -99,13 +100,8 @@ class CayleyBall:
         if self._matrix is None:
             n = len(self.vertices)
             check_memory(n, 6, "the distance matrix")
-            letters = self.presentation.letters()
-            # -1 where the edge leaves the ball: it wraps to frontier row n,
-            # which stays all False.
-            nbr = np.array(
-                [[edges.get(letter, -1) for letter in letters] for edges in self.adjacency],
-                dtype=np.intp,
-            ).reshape(n, len(letters))
+            # -1, an edge leaving the ball, wraps to frontier row n: all False.
+            nbr = self.neighbours()
             frontier = np.zeros((n + 1, n), dtype=bool)
             np.fill_diagonal(frontier, True)
             seen = frontier[:n].copy()
@@ -128,6 +124,15 @@ class CayleyBall:
                 frontier[:n] = nxt
             self._matrix = mat
         return self._matrix
+
+    def neighbours(self) -> np.ndarray:
+        """Each vertex's neighbour by letter of ``presentation.letters()``,
+        -1 where the edge leaves the ball (an n-by-2m table, cached)."""
+        if self._nbr is None:
+            letters = self.presentation.letters()
+            rows = [[edges.get(letter, -1) for letter in letters] for edges in self.adjacency]
+            self._nbr = np.array(rows, dtype=np.intp).reshape(len(self), len(letters))
+        return self._nbr
 
     def unclipped(self, u: VertexRef, v: VertexRef) -> bool:
         """True when some group geodesic between u and v must lie in the ball.

@@ -8,17 +8,17 @@ directions), each side is handled through its shortest-path DAG: the set
 of vertices lying on any geodesic gives the candidate points p, and the
 adversary's "farthest geodesic" distance is a bottleneck max-min dynamic
 program over the DAG, which computes the exact maximum over all choices.
-One pass per side finds its predecessors and runs the program,
-vectorized over every ball vertex, so its last row (the side's adversary
-vector) serves every triangle that shares the side: a triangle then
-costs one lookup per side and point.  The witness geodesics are drawn
-by one greedy walker that steps toward an endpoint along the DAG.
+The program runs one distance layer at a time for many sides at once,
+vectorized over every ball vertex, and a side's last row (its adversary
+vector) serves every triangle that shares the side: ``delta_estimate``
+reads a chunk of triangles by one gather over every (triangle, side,
+point).  The witness geodesics are drawn by one greedy walker that steps
+toward an endpoint along the DAG.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,9 +26,11 @@ import numpy as np
 
 from .cayley import CayleyBall, VertexRef, check_memory
 
-# Bytes of side entries delta_estimate keeps at once, about 10k sides of
+# Bytes of side vectors delta_estimate keeps at once, all 20,520 sides of
 # the 3,193-vertex surface ball; evicting one only means computing it again.
 _SIDE_CACHE_BYTES = 64 << 20
+# Working bytes of one chunk of triangles, and of one batch of the side DP.
+_CHUNK_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -48,33 +50,37 @@ class ThinnessReport:
     sampling_policy: str
 
 
-def _side(
-    ball: CayleyBall, a: int, b: int, D: np.ndarray
-) -> tuple[np.ndarray, dict[int, int], np.ndarray]:
-    """``(nodes, row, M)`` for the side from ``a`` to ``b``.
-
-    ``nodes`` lists every vertex on some geodesic, ordered by distance
-    from ``a``, and ``row`` maps a vertex to its index.  ``M[i]`` holds,
-    for every ball vertex p, the max over geodesics from ``a`` to
-    ``nodes[i]`` of the min distance from p to the path: the bottleneck
-    DP ``M[v] = min(d(v, p), max over predecessors)``.  A neighbour one
-    step closer to ``a`` needs no membership test, since the triangle
-    inequality puts it on a geodesic to ``b`` as well.
+def _side_dp(ball: CayleyBall, D: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``(side, node, M)`` over the states of the sides ``a[s]`` to ``b[s]``,
+    their geodesics' vertices, by distance from ``a``, then side and node;
+    a side's last state is ``b``.  ``M[k]`` holds, for every ball vertex p,
+    the max over geodesics from ``a`` to the node of the min distance from
+    p to the path: the bottleneck DP ``M[v] = min(d(v, p), max over
+    predecessors)``.  A neighbour one step closer to ``a`` needs no
+    membership test: the triangle inequality puts it on a geodesic to ``b``.
     """
-    da = D[a]
-    nodes = np.nonzero(da + D[b] == da[b])[0]
-    nodes = nodes[np.argsort(da[nodes], kind="stable")]
-    row = {v: i for i, v in enumerate(nodes.tolist())}
-    M = D[nodes]
-    for v, i in row.items():
-        closer = da[v] - 1
-        preds = [row[w] for w in ball.adjacency[v].values() if da[w] == closer]
-        if preds:
-            acc = M[preds[0]]
-            for j in preds[1:]:
-                acc = np.maximum(acc, M[j])
-            np.minimum(M[i], acc, out=M[i])
-    return nodes, row, M
+    n = len(D)
+    side, v = np.nonzero(D[a] + D[b] == D[a, b][:, None])
+    order = np.argsort(D[a[side], v], kind="stable")
+    side, v = side[order], v[order]
+    layer = D[a[side], v]
+    key = v + n * (side + len(a) * layer.astype(np.intp))
+    nb = ball.neighbours()[v]
+    # Keys sort as (layer, side, node); state k's predecessors, pred[first[k] :
+    # first[k + 1]], have the key of their node one layer down.
+    k, c = np.nonzero((nb >= 0) & (D[a[side][:, None], nb] == layer[:, None] - 1))
+    pred = np.searchsorted(key, key[k] + nb[k, c] - v[k] - n * len(a))
+    first = np.searchsorted(k, np.arange(len(v) + 1))
+    M = D[v]
+    bounds = np.searchsorted(layer, np.arange(1, int(layer[-1]) + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        # Round j reads each state's j-th predecessor, or again its last.
+        start, last = first[lo:hi], first[lo + 1 : hi + 1] - 1
+        acc = M[pred[start]]
+        for j in range(1, int((last - start).max()) + 1):
+            np.maximum(acc, M[pred[np.minimum(start + j, last)]], out=acc)
+        np.minimum(M[lo:hi], acc, out=M[lo:hi])
+    return side, v, M
 
 
 def _descend(ball: CayleyBall, v: int, to: int, D: np.ndarray, key=None) -> list[int]:
@@ -91,20 +97,6 @@ def _descend(ball: CayleyBall, v: int, to: int, D: np.ndarray, key=None) -> list
 
 
 _SIDES = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
-
-
-def _evaluate(sides):
-    """(delta, side index, point) for one triangle, worst case over choices.
-
-    ``sides[si]`` is ``(DAG nodes, adversary vector)`` of side si.
-    """
-    best = (-1, -1, -1)
-    for si, (points, _) in enumerate(sides):
-        vals = np.minimum(sides[(si + 1) % 3][1][points], sides[(si + 2) % 3][1][points])
-        k = int(vals.argmax())
-        if int(vals[k]) > best[0]:
-            best = (int(vals[k]), si, int(points[k]))
-    return best
 
 
 def triangle_thinness(
@@ -124,14 +116,23 @@ def triangle_thinness(
                 )
     D = ball.distance_matrix()
     ends = [(tri[ia], tri[ib]) for ia, ib, _ in _SIDES]
-    sides = [_side(ball, a, b, D) for a, b in ends]
-    delta, si, p = _evaluate([(nodes, M[row[b]]) for (nodes, row, M), (_, b) in zip(sides, ends)])
+    side, v, M = _side_dp(ball, D, *np.array(ends).T)
+    # Each side's states, ordered by distance from its first corner.
+    states = [np.flatnonzero(side == s) for s in range(3)]
+    # The worst point of the first worst side, the first in that order on ties.
+    delta, si, p = -1, -1, -1
+    for s, k in enumerate(states):
+        vals = np.minimum(M[states[(s + 1) % 3][-1], v[k]], M[states[(s + 2) % 3][-1], v[k]])
+        j = int(vals.argmax())
+        if vals[j] > delta:
+            delta, si, p = int(vals[j]), s, int(v[k[j]])
     paths = []
-    for o, ((a, b), (_, row, M)) in enumerate(zip(ends, sides)):
+    for o, ((a, b), k) in enumerate(zip(ends, states)):
         if o == si:
             paths.append(tuple(_descend(ball, p, a, D)[::-1] + _descend(ball, p, b, D)[1:]))
         else:
             # The geodesic that keeps farthest from p, walked back from b.
+            row = dict(zip(v[k].tolist(), k.tolist()))
             paths.append(tuple(_descend(ball, b, a, D, key=lambda w: -M[row[w], p])[::-1]))
     others = paths[(si + 1) % 3] + paths[(si + 2) % 3]
     q = min(others, key=lambda v: (D[p][v], v))
@@ -150,7 +151,7 @@ def _triples(ball: CayleyBall, D: np.ndarray) -> np.ndarray:
     elig = elig <= 2 * ball.radius
     blocks = []
     for i in range(len(ball)):
-        js = np.nonzero(elig[i, i + 1 :])[0] + i + 1
+        js = (np.nonzero(elig[i, i + 1 :])[0] + i + 1).astype(np.int32)
         a, b = np.nonzero(np.triu(elig[np.ix_(js, js)], 1))
         j, k = js[a], js[b]
         longest = np.maximum(np.maximum(D[i, j], D[i, k]), D[j, k])
@@ -182,7 +183,9 @@ def delta_estimate(
         raise ValueError("random sampling needs an explicit seed")
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
-    # D, then the int16 sum and the bool eligibility matrix of _triples.
+    # D, then the int16 sum and the bool eligibility matrix of _triples;
+    # the working set of a chunk of triangles is a constant, so 5 bytes per
+    # pair stays an upper bound.
     check_memory(len(ball), 5, "delta estimation")
     D = ball.distance_matrix()
     rows = _triples(ball, D)
@@ -191,35 +194,66 @@ def delta_estimate(
         policy = f"random(seed={seed}, count={sample_count})"
         picks = random.Random(seed).sample(range(len(rows)), min(sample_count, len(rows)))
         rows = rows[sorted(picks)]
-    # (DAG nodes, adversary vector) per side, least recently used first.
-    sides: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-    cached_bytes = 0
-
-    def side(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal cached_bytes
-        entry = sides.get((a, b))
-        if entry is not None:
-            sides.move_to_end((a, b))
+    n = len(ball)
+    # Each row's sides (i, j), (j, k), (i, k) as indices into their sorted keys a * n + b.
+    corners = rows[:, :3].astype(np.min_scalar_type(-n * n))
+    ids = corners[:, [0, 1, 0]] * n + corners[:, [1, 2, 2]]
+    keys = np.sort(ids, axis=None, kind="stable")
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    ids = np.searchsorted(keys, ids).astype(np.int32)
+    # The side cache: adversary vectors (at most twice the radius) as rows of one
+    # array, the least recently used chunk's evicted first.  A chunk holds at most
+    # cap // 3 rows, so it never evicts its own sides; slot_of[-1] owns free slots.
+    dtype = np.min_scalar_type(2 * ball.radius)
+    cap = min(len(keys), max(3, _SIDE_CACHE_BYTES // (dtype.itemsize * n)))
+    pool = np.empty((cap, n), dtype=dtype)
+    slot_of = np.full(len(keys) + 1, -1, dtype=np.int32)
+    owner, used, sizes = np.full(cap, -1), np.full(cap, -1), np.zeros(cap, dtype=np.int32)
+    nodes: list = [None] * cap
+    run_end = np.append(np.flatnonzero(np.diff(rows[:, 3])) + 1, len(rows))
+    best, first, lo, chunk, step, per_side, filled = 0, None, 0, 0, 1, n, 0
+    # Chunks stay inside a run of equal longest side.  Sides only shorten
+    # from here and best only rises: no later row can win.
+    while lo < len(rows) and (rows[lo, 3] + 1) // 2 >= best:
+        hi = min(lo + step, int(run_end[np.searchsorted(run_end, lo, side="right")]))
+        slots = slot_of[ids[lo:hi]]
+        used[slots[slots >= 0]] = chunk
+        missing = ids[lo:hi][slots < 0]
+        missing = missing[np.argsort(missing, kind="stable")]
+        missing = missing[np.diff(missing, prepend=-1) != 0]
+        if filled + len(missing) > cap:
+            free = np.argsort(used, kind="stable")[: len(missing)]
         else:
-            nodes, row, M = _side(ball, a, b, D)
-            entry = sides[(a, b)] = (nodes, M[row[b]].copy())
-            cached_bytes += entry[0].nbytes + entry[1].nbytes
-            while cached_bytes > _SIDE_CACHE_BYTES:
-                nodes, vector = sides.popitem(last=False)[1]
-                cached_bytes -= nodes.nbytes + vector.nbytes
-        return entry
-
-    best = 0
-    best_triple = None
-    for i, j, k, maxside in rows.tolist():
-        # Sides only shorten from here and best only rises: no later row can win.
-        if (maxside + 1) // 2 < best:
-            break
-        delta, _, _ = _evaluate([side(i, j), side(j, k), side(i, k)])
-        if delta > best:
-            best = delta
-            best_triple = (i, j, k)
+            free, filled = np.arange(filled, filled + len(missing)), filled + len(missing)
+        slot_of[owner[free]] = -1
+        slot_of[missing], owner[free], used[free] = free, missing, chunk
+        a, b = np.divmod(keys[missing], n)
+        size = max(1, _CHUNK_BYTES // per_side)
+        for s in range(0, len(missing), size):
+            side, v, M = _side_dp(ball, D, a[s : s + size], b[s : s + size])
+            at = free[s : s + size]
+            sizes[at] = np.bincount(side, minlength=len(at))
+            # D[a] + D[b] and its mask, then two int16 rows per state of the largest side.
+            per_side = n * (7 + 2 * int(sizes[at].max()))
+            grouped, ends = np.argsort(side, kind="stable"), np.cumsum(sizes[at])
+            pool[at] = M[grouped[ends - 1]]
+            for slot, own in zip(at.tolist(), np.split(v[grouped].astype(np.int32), ends[:-1])):
+                nodes[slot] = own
+        slots = slot_of[ids[lo:hi]]
+        count = sizes[slots]
+        points = np.concatenate([nodes[slot] for slot in slots.ravel().tolist()])
+        # Each (triangle, side, point) against the other two sides' vectors.
+        other = [np.repeat(np.roll(slots, -r, axis=1).ravel() * n, count.ravel()) for r in (1, 2)]
+        vals = np.minimum(pool.ravel()[other[0] + points], pool.ravel()[other[1] + points])
+        count = count.sum(axis=1)
+        delta = np.maximum.reduceat(vals, np.cumsum(count) - count)
+        k = int(delta.argmax())
+        if delta[k] > best:
+            best, first = int(delta[k]), lo + k
+        # Bytes per (triangle, side, point): an int32 point, two positions, values.
+        step = max(1, min(cap // 3, _CHUNK_BYTES * (hi - lo) // (18 * len(points))))
+        lo, chunk = hi, chunk + 1
     witness = None
-    if best_triple is not None:
-        best, witness = triangle_thinness(ball, *best_triple)
+    if first is not None:
+        best, witness = triangle_thinness(ball, *rows[first, :3].tolist())
     return ThinnessReport(best, witness, len(rows), policy)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations
 
@@ -157,6 +158,17 @@ def test_random_sample_of_a_ball_without_triangles(relator):
     assert sampled == ThinnessReport(0, None, 0, "random(seed=1, count=3)")
 
 
+def test_ball_with_one_triangle():
+    # Z/3 at radius 2: its one unclipped triple, examined exhaustively or
+    # by a sample of any count.
+    ball = build_ball(Presentation(("a",), ((1, 1, 1),)), 2)
+    assert len(ball) == 3
+    assert delta_estimate(ball) == ThinnessReport(0, None, 1, "exhaustive")
+    for count in (1, 3):
+        sampled = delta_estimate(ball, sample_count=count, seed=1)
+        assert sampled == ThinnessReport(0, None, 1, f"random(seed=1, count={count})")
+
+
 def test_sample_larger_than_the_ball_stops_drawing(monkeypatch):
     # 13 vertices: C(13, 3) = 286 triples, 26 of them unclipped.  One
     # draw picks the sample from those 26.
@@ -247,8 +259,8 @@ def test_exhaustive_delta_deterministic():
     )
 
 
-# The side DAG, its DP and the witness walkers that ``thinness._side`` and
-# ``thinness._descend`` replaced, kept unchanged as references.
+# The side DAG, its DP and the witness walkers that ``thinness._side_dp``
+# and ``thinness._descend`` replaced, kept unchanged as references.
 class _SideDag:
     """Shortest-path DAG between two ball vertices.
 
@@ -440,14 +452,18 @@ def test_side_vector_matches_reference_dp(index):
     ball = _kernel_ball(index)
     D = ball.distance_matrix()
     everywhere = np.arange(len(ball))
-    for a, b in _unclipped_pairs(ball):
-        dag = _SideDag(ball, a, b, D)
-        nodes, row, M = thinness._side(ball, a, b, D)
-        assert np.array_equal(nodes, dag.nodes)
-        assert row == dag.pos
-        assert M.shape == (len(nodes), len(ball))
-        vector = M[row[b]]
-        assert vector.shape == (len(ball),)
+    pairs = _unclipped_pairs(ball)
+    a, b = np.array(pairs).T
+    # Every unclipped pair in one batch.
+    side, nodes, M = thinness._side_dp(ball, D, a, b)
+    assert M.shape == (len(nodes), len(ball))
+    assert np.all(np.diff(D[a[side], nodes]) >= 0)
+    for s, (x, y) in enumerate(pairs):
+        dag = _SideDag(ball, x, y, D)
+        k = np.flatnonzero(side == s)
+        assert np.array_equal(nodes[k], dag.nodes)
+        assert nodes[k[-1]] == y
+        vector = M[k[-1]]
         assert np.array_equal(vector, _adversary_vector(dag, D))
         assert np.array_equal(vector, _reference_adversary_distances(dag, everywhere, D))
 
@@ -461,14 +477,20 @@ def test_triples_match_the_reference_loop(index):
     assert rows.tolist() == [list(t) for t in _reference_triples(ball, D)]
 
 
-@pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
-def test_delta_estimate_matches_reference(index):
-    ball = _kernel_ball(index)
-    assert delta_estimate(ball) == _reference_report(ball)
-    for seed in (1, 2):
-        assert delta_estimate(ball, sample_count=40, seed=seed) == _reference_report(
-            ball, sample_count=40, seed=seed
-        )
+@pytest.mark.parametrize(
+    "case",
+    [*range(len(KERNEL_CASES)), (ZZ, 6, (None, 40)), (SURF2, 3, (200,))],
+    ids=[*KERNEL_IDS, "zz-r6", "surface2-r3-sample200"],
+)
+def test_delta_estimate_matches_reference(case):
+    if isinstance(case, int):
+        ball, counts = _kernel_ball(case), (None, 40)
+    else:
+        pres, radius, counts = case
+        ball = build_ball(pres, radius)
+    for count in counts:
+        for seed in (None,) if count is None else (1, 2):
+            assert delta_estimate(ball, count, seed) == _reference_report(ball, count, seed)
 
 
 @pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
@@ -493,23 +515,29 @@ def test_distance_matrix_matches_per_vertex_bfs(index):
 
 
 def _counting_side_dp(monkeypatch):
+    """The sides ``thinness._side_dp`` builds, one list per call."""
     calls = []
-    real = thinness._side
+    real = thinness._side_dp
 
-    def counting(ball, a, b, D):
-        calls.append((a, b))
-        return real(ball, a, b, D)
+    def counting(ball, D, a, b):
+        calls.append(list(zip(np.asarray(a).tolist(), np.asarray(b).tolist())))
+        return real(ball, D, a, b)
 
-    monkeypatch.setattr(thinness, "_side", counting)
+    monkeypatch.setattr(thinness, "_side_dp", counting)
     return calls
 
 
 @pytest.mark.parametrize(
-    "pres, radius", [(ZZ, 4), (F2, 3), (SURF2, 2)], ids=["zz-r4", "free2-r3", "surface2-r2"]
+    "pres, radius, count",
+    [(ZZ, 4, None), (F2, 3, None), (SURF2, 2, None), (ZZ, 6, 150)],
+    ids=["zz-r4", "free2-r3", "surface2-r2", "zz-r6-sample150"],
 )
-def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius):
+def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius, count):
+    # A sample leaves sides that only pruned rows use, so a chunk that ran
+    # past its run of equal longest side would build them.
     ball = build_ball(pres, radius)
-    scan, _ = _reference_scan(ball)
+    seed = count and 4
+    scan, _ = _reference_scan(ball, count, seed)
     used = set()
     best = 0
     for (i, j, k, maxside), delta in scan:
@@ -519,9 +547,11 @@ def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius):
         best = max(best, delta)
 
     calls = _counting_side_dp(monkeypatch)
-    report = delta_estimate(ball)
-    # triangle_thinness rebuilds the witness from its own three sides.
-    in_scan = calls[: len(calls) - (3 if report.witness else 0)]
+    report = delta_estimate(ball, count, seed)
+    # triangle_thinness rebuilds the witness from its own three sides, in one call.
+    if report.witness:
+        assert len(calls.pop()) == 3
+    in_scan = [pair for call in calls for pair in call]
     assert len(in_scan) == len(used)
     assert set(in_scan) == used
 
@@ -533,7 +563,35 @@ def test_evicting_every_side_leaves_report_unchanged(monkeypatch, pres, radius):
     calls = _counting_side_dp(monkeypatch)
     monkeypatch.setattr(thinness, "_SIDE_CACHE_BYTES", 1)
     assert delta_estimate(ball) == expected
-    assert len(calls) > len(set(calls))
+    built = [pair for call in calls for pair in call]
+    assert len(built) > len(set(built))
+
+
+@pytest.mark.parametrize(
+    "pres, radius, count",
+    [(ZZ, 4, None), (ZZ, 5, 300), (SURF2, 2, None), (UNTAGGED_ZZ, 3, None)],
+    ids=["zz-r4", "zz-r5-sample300", "surface2-r2", "untagged-zz-r3"],
+)
+def test_one_triangle_chunks_leave_report_unchanged(monkeypatch, pres, radius, count):
+    ball = build_ball(pres, radius)
+    seed = count and 3
+    expected = delta_estimate(ball, count, seed)
+    # With one triangle a chunk and one side a batch, the sides are built
+    # in the order rows first use them, a row's in key order.
+    scan, _ = _reference_scan(ball, count, seed)
+    first_use, best = [], 0
+    for (i, j, k, maxside), delta in scan:
+        if (maxside + 1) // 2 < best:
+            break
+        first_use += sorted({(i, j), (j, k), (i, k)} - set(first_use))
+        best = max(best, delta)
+
+    calls = _counting_side_dp(monkeypatch)
+    monkeypatch.setattr(thinness, "_CHUNK_BYTES", 1)
+    assert delta_estimate(ball, count, seed) == expected
+    if expected.witness:
+        calls.pop()
+    assert calls == [[side] for side in first_use]
 
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
@@ -547,3 +605,19 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     assert ball._matrix is None
     monkeypatch.setattr(cayley, "physical_memory", lambda: 6 * n * n)
     assert delta_estimate(ball).delta == 2
+
+
+@pytest.mark.parametrize(
+    "pres, radius, limit_mib", [(ZZ, 6, 2.75), (SURF2, 3, 3.65)], ids=["zz-r6", "surface2-r3"]
+)
+def test_delta_estimate_peak_memory(pres, radius, limit_mib):
+    # Python allocations of one estimate on a fresh ball, the distance
+    # matrix included.
+    ball = build_ball(pres, radius)
+    tracemalloc.start()
+    try:
+        delta_estimate(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
