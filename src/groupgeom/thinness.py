@@ -202,8 +202,9 @@ def delta_estimate(
     keys = keys[np.diff(keys, prepend=-1) != 0]
     ids = np.searchsorted(keys, ids).astype(np.int32)
     # The side cache: adversary vectors (at most twice the radius) as rows of one
-    # array, the least recently used chunk's evicted first.  A chunk holds at most
-    # cap // 3 rows, so it never evicts its own sides; slot_of[-1] owns free slots.
+    # array, the least recently used chunk's evicted first (never-filled slots have
+    # used -1, so they go before any of them).  A chunk holds at most cap // 3 rows,
+    # so it never evicts its own sides; slot_of[-1] owns free slots.
     dtype = np.min_scalar_type(2 * ball.radius)
     cap = min(len(keys), max(3, _SIDE_CACHE_BYTES // (dtype.itemsize * n)))
     pool = np.empty((cap, n), dtype=dtype)
@@ -222,7 +223,7 @@ def delta_estimate(
         missing = missing[np.argsort(missing, kind="stable")]
         missing = missing[np.diff(missing, prepend=-1) != 0]
         if filled + len(missing) > cap:
-            free = np.argsort(used, kind="stable")[: len(missing)]
+            free, filled = np.argsort(used, kind="stable")[: len(missing)], cap
         else:
             free, filled = np.arange(filled, filled + len(missing)), filled + len(missing)
         slot_of[owner[free]] = -1

@@ -567,6 +567,30 @@ def test_evicting_every_side_leaves_report_unchanged(monkeypatch, pres, radius):
     assert len(built) > len(set(built))
 
 
+@lru_cache(maxsize=None)
+def _cached_reference_report(pres, radius, count, seed):
+    return _reference_report(build_ball(pres, radius), count, seed)
+
+
+@pytest.mark.parametrize("slots", [4, 7, 50])
+@pytest.mark.parametrize(
+    "pres, radius, count",
+    [(ZZ, 4, None), (ZZ, 5, None), (ZZ, 5, 300), (SURF2, 2, None), (SURF2, 2, 300)],
+    ids=["zz-r4", "zz-r5", "zz-r5-sample300", "surface2-r2", "surface2-r2-sample300"],
+)
+def test_partial_side_cache_matches_reference(monkeypatch, pres, radius, count, slots):
+    # A cache of a few slots, fewer than the sides: once full it evicts,
+    # and chunks that miss only a side or two must not take a slot that a
+    # side of the current chunk still holds.
+    ball = build_ball(pres, radius)
+    seed = count and 5
+    calls = _counting_side_dp(monkeypatch)
+    monkeypatch.setattr(thinness, "_SIDE_CACHE_BYTES", slots * len(ball))
+    assert delta_estimate(ball, count, seed) == _cached_reference_report(pres, radius, count, seed)
+    built = [pair for call in calls for pair in call]
+    assert len(built) > len(set(built))
+
+
 @pytest.mark.parametrize(
     "pres, radius, count",
     [(ZZ, 4, None), (ZZ, 5, 300), (SURF2, 2, None), (UNTAGGED_ZZ, 3, None)],
