@@ -79,13 +79,11 @@ def h_geodesic_point(p: HPoint, q: HPoint, t: float) -> HPoint:
         raise ValueError("geodesic endpoints must differ")
     if _is_vertical(p, q):
         return HPoint(p.x, p.y * (q.y / p.y) ** t)
-    cx, r = _circle_through(p, q)
-    # Arclength along the semicircle is u = log tan(theta / 2).
-    up = math.log(math.tan(math.atan2(p.y, p.x - cx) / 2.0))
-    uq = math.log(math.tan(math.atan2(q.y, q.x - cx) / 2.0))
-    u = (1.0 - t) * up + t * uq
-    theta = 2.0 * math.atan(math.exp(u))
-    return HPoint(cx + r * math.cos(theta), r * math.sin(theta))
+    # Walk t of the distance along the tangent at p: the arclength form
+    # log tan(theta / 2) loses about 1e-9 on near-vertical semicircles.
+    cx, _ = _circle_through(p, q)
+    s = 1.0 if q.x > p.x else -1.0
+    return point_at(p, math.atan2(s * p.y, s * (cx - p.x)), t * h_dist(p, q))
 
 
 def point_to_side(p: HPoint, a: HPoint, b: HPoint) -> float:
@@ -137,7 +135,8 @@ def _dist(px, py, qx, qy):
 
 
 def _geodesic(px, py, qx, qy):
-    """``h_geodesic_point`` over arrays of sides: returns t -> (x, y)."""
+    """Points along arrays of sides by arclength on the semicircle,
+    u = log tan(theta / 2): returns t -> (x, y)."""
     vertical, cx, r = _circle(px, py, qx, qy)
     up = np.log(np.tan(np.arctan2(py, px - cx) / 2.0))
     uq = np.log(np.tan(np.arctan2(qy, qx - cx) / 2.0))

@@ -233,6 +233,13 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     when the search holds more than ``_MAX_STATES`` words (without a
     pairing-form bound it is blind, and grows exponentially under the
     caps); the move path comes back on success and replays move by move.
+
+    The bound is consistent and at least 1 on every nonempty word, so the
+    empty word is the next pop once it is generated, and the search
+    returns it at once, unless the rest of that expansion could still
+    exhaust the state budget (it adds at most one word per position and
+    member).  Each word records only its parent and the move's
+    (pos, cut, member); ``AreaMove``s are built for the returned path.
     """
     presentation.check_word(word)
     if caps is None:
@@ -262,20 +269,24 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     counter = 0
     heap = [(h0, h0, len(start), counter, start)]
     best = {start: 0}
-    parent: dict[Word, tuple[Word, AreaMove]] = {}
+    parent: dict[Word, tuple[Word, int, int, int]] = {}
+
+    def found(g: int) -> AreaResult:
+        moves = []
+        cur = EMPTY
+        while cur != start:
+            cur, pos, cut, k = parent[cur]
+            rho, suffixes = members[k]
+            moves.append(AreaMove(pos, cur[pos : pos + cut], suffixes[cut], rho))
+        return AreaResult(g, caps, tuple(reversed(moves)))
+
     while heap:
         f, h, _, _, w = heapq.heappop(heap)
         g = best[w]
         if f > g + h:
             continue  # stale entry
         if w == EMPTY:
-            moves = []
-            cur = w
-            while cur != start:
-                prev, move = parent[cur]
-                moves.append(move)
-                cur = prev
-            return AreaResult(g, caps, tuple(reversed(moves)))
+            return found(g)
         if g >= caps.max_area:
             continue
         states = _winding_states(w, forms)
@@ -294,8 +305,9 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
             best[nxt] = ng
             if len(best) > _MAX_STATES:
                 return AreaResult(None, caps, None)
-            rho, suffixes = members[k]
-            parent[nxt] = (w, AreaMove(pos, w[pos : pos + cut], suffixes[cut], rho))
+            parent[nxt] = (w, pos, cut, k)
+            if not nxt and len(best) + (len(w) + 1) * len(members) <= _MAX_STATES:
+                return found(ng)
             counter += 1
             heapq.heappush(heap, (ng + nh, nh, len(nxt), counter, nxt))
     return AreaResult(None, caps, None)

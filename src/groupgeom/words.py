@@ -75,7 +75,7 @@ def cyclic_reduce(word: Iterable[int]) -> Word:
 
 def invert(word: Word) -> Word:
     """Reverse the word and flip every sign."""
-    return tuple(-x for x in reversed(word))
+    return tuple([-x for x in reversed(word)])
 
 
 def multiply(*words: Iterable[int]) -> Word:
@@ -105,9 +105,13 @@ def conjugacy_rep(word: Iterable[int]) -> Word:
     """The least cyclic permutation of ``cyclic_reduce(word)`` or of its
     inverse, in plain tuple order: one word per conjugacy class of the free
     group, up to inversion.  Empty exactly when ``word`` freely reduces to
-    the empty word."""
+    the empty word.  Only rotations that start with the least letter of w
+    and w^-1 are tried."""
     w = cyclic_reduce(word)
-    return min((*rotations(w), *rotations(invert(w))))
+    if not w:
+        return w
+    m = min(min(w), -max(w))
+    return min(v[k:] + v[:k] for v in (w, invert(w)) for k, x in enumerate(v) if x == m)
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,7 @@ class Presentation:
         # Every per-presentation cache hashes its key on each lookup.
         fields = (self.generators, self.relators, self.family, self.family_param)
         object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_alphabet", frozenset(range(-n, n + 1)) - {0})
 
     def __hash__(self) -> int:
         return self._hash
@@ -170,9 +175,9 @@ class Presentation:
         return tuple(out)
 
     def check_word(self, word: Word) -> None:
-        rank = self.rank
-        # The scans run in C; the loop runs only to name the first bad letter.
-        if word and (max(word) > rank or min(word) < -rank or 0 in word):
+        # One scan in C; the loop runs only to name the first bad letter.
+        if not self._alphabet.issuperset(word):
+            rank = self.rank
             for x in word:
                 if x == 0 or abs(x) > rank:
                     raise ValueError(f"letter {x} outside alphabet of rank {rank}")

@@ -81,6 +81,7 @@ def test_geodesic_point_examples():
 
 @given(points, points, st.floats(0.0, 1.0))
 @example(p=HPoint(0.0, 1.0), q=HPoint(0.0, 3.0), t=5.960464477539063e-08)
+@example(p=HPoint(0.0, 0.0547), q=HPoint(0.0001, 8.0), t=0.0)  # near-vertical arc
 def test_geodesic_additivity(p, q, t):
     if p == q:
         return

@@ -541,6 +541,29 @@ def test_area_matches_reference_search_at_the_state_budget():
         assert result.value is None
 
 
+_BUDGET_PRESENTATIONS = {
+    "untagged zz": GENERIC_ZZ,
+    "surface 2": SURF2,
+    "abc": Presentation(("a", "b", "c"), ((1, 2, -1, -2), (1, 1, 3, -2, 3), (3, 3, 3))),
+    "torsion": _DIFFERENTIAL_PRESENTATIONS["torsion"][0],
+}
+
+
+@pytest.mark.parametrize("name", _BUDGET_PRESENTATIONS)
+def test_area_matches_reference_search_under_small_state_budgets(monkeypatch, name):
+    # The search returns the empty word as soon as it generates it, but only
+    # when the rest of that expansion cannot exhaust the state budget; at
+    # these budgets a search that returned at once would give a value where
+    # the reference runs out of states (abAB at budget 2 gives 1, not None).
+    presentation = _BUDGET_PRESENTATIONS[name]
+    words = generate_null_homotopic(presentation, 2, 10)[:60]
+    caps = AreaCaps(6, 16)
+    for budget in [*range(1, 61), 80, 120, 200]:
+        monkeypatch.setattr(isoperimetry, "_MAX_STATES", budget)
+        for word in words:
+            assert area(presentation, word, caps) == _reference_area(presentation, word, caps), (budget, word)
+
+
 @pytest.mark.parametrize("name", _DIFFERENTIAL_PRESENTATIONS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,11 @@ def test_free_reduce_idempotent_and_parity(word):
     assert free_reduce(r) == r
     assert len(r) <= len(word)
     assert (len(word) - len(r)) % 2 == 0
+
+
+@given(st.lists(st.integers(-4, 4).filter(bool), max_size=40).map(tuple))
+def test_invert_matches_the_generator_form(word):
+    assert invert(word) == tuple(-x for x in reversed(word))
 
 
 @given(words_f2)
@@ -210,6 +216,18 @@ def test_equal_presentations_hash_equal_and_share_cache_entries(build):
     assert pickle.loads(pickle.dumps(p)) == p
 
 
+def test_the_cached_alphabet_is_no_field_and_is_rebuilt_by_unpickling():
+    # check_word's letter set lives beside the fields, like the cached
+    # hash, so equality, repr and the pickle see only the four fields.
+    assert [f.name for f in fields(Presentation)] == ["generators", "relators", "family", "family_param"]
+    for p in (ZZ, SURF2, F2):
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and hash(q) == hash(p)
+        assert q._alphabet == p._alphabet == set(p.letters())
+        with pytest.raises(ValueError, match=f"^letter {p.rank + 1} outside"):
+            q.check_word((1, p.rank + 1))
+
+
 def test_unpickled_presentation_hashes_like_one_built_in_its_process():
     # String hashes differ between processes, so the cached hash must be
     # recomputed when a pickle is loaded under another hash seed.
@@ -241,6 +259,30 @@ def test_check_word_names_the_first_bad_letter(word, bad):
         ZZ.check_word(word)
     ZZ.check_word((1, -1, 2, -2))
     ZZ.check_word(EMPTY)
+
+
+def _first_bad_letter_message(word, rank):
+    """The message of the per-letter check that ``check_word`` replaced."""
+    for x in word:
+        if x == 0 or abs(x) > rank:
+            return f"letter {x} outside alphabet of rank {rank}"
+    return None
+
+
+@pytest.mark.parametrize("pres", [ZZ, SURF2], ids=["rank 2", "rank 4"])
+@given(data=st.data())
+def test_check_word_matches_the_per_letter_scan(pres, data):
+    rank = pres.rank
+    good = st.sampled_from(pres.letters())
+    bad = st.sampled_from([0, rank + 1, -(rank + 1)])
+    word = tuple(data.draw(st.lists(st.one_of(good, good, bad), max_size=12)))
+    expected = _first_bad_letter_message(word, rank)
+    if expected is None:
+        pres.check_word(word)
+    else:
+        with pytest.raises(ValueError) as err:
+            pres.check_word(word)
+        assert str(err.value) == expected
 
 
 def test_word_text_roundtrip():
@@ -291,6 +333,14 @@ def test_shortlex_order():
     words = [w(t) for t in ("ba", "1", "ab", "a", "aA"[:1])]
     ordered = sorted(set(words), key=shortlex_key)
     assert [format_word(x, ZZ) for x in ordered] == ["1", "a", "ab", "ba"]
+
+
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=16))
+def test_conjugacy_rep_is_the_least_rotation(word):
+    # Only rotations starting with the least letter are tried; the full
+    # minimum over every rotation of w and w^-1 is the reference.
+    c = cyclic_reduce(word)
+    assert conjugacy_rep(word) == min((*rotations(c), *rotations(invert(c))))
 
 
 @given(words_f2, words_f2, st.integers(0, 30))
