@@ -99,7 +99,7 @@ class CayleyBall:
         """
         if self._matrix is None:
             n = len(self.vertices)
-            check_memory(n, 6, "the distance matrix")
+            check_memory(6 * n * n, f"the distance matrix of a {n}-vertex ball")
             # -1, an edge leaving the ball, wraps to frontier row n: all False.
             nbr = self.neighbours()
             frontier = np.zeros((n + 1, n), dtype=bool)
@@ -204,17 +204,13 @@ def physical_memory() -> Optional[int]:
         return None
 
 
-def check_memory(n: int, bytes_per_pair: int, what: str) -> None:
-    """Refuse, before allocating, an n-by-n computation that cannot fit.
-
-    ``bytes_per_pair`` is the computation's peak over all its arrays,
-    per ordered vertex pair.
-    """
-    need = n * n * bytes_per_pair
+def check_memory(need: int, what: str) -> None:
+    """Refuse, before allocating, a computation whose peak over all its
+    arrays, ``need`` bytes, cannot fit in physical memory."""
     limit = physical_memory()
     if limit is not None and need > limit:
         raise MemoryError(
-            f"{what} of a {n}-vertex ball needs about {need:,} bytes, "
+            f"{what} needs about {need:,} bytes, "
             f"more than the {limit:,} bytes of physical memory"
         )
 

@@ -135,10 +135,6 @@ def normal_form(presentation: Presentation, word: Word) -> Optional[Word]:
     return None
 
 
-# The largest ball canonical_form has built, per presentation.
-_canonical_balls: dict = {}
-
-
 def canonical_form(
     presentation: Presentation, word: Word, max_radius: Optional[int] = None
 ) -> Word:
@@ -147,10 +143,9 @@ def canonical_form(
     The :func:`normal_form` where there is one.  Otherwise: the
     representative stored at the word's vertex in a Cayley ball, the
     shortlex-least geodesic spelling of the element, so any ball that
-    reaches the word gives the same answer.  The largest ball built so far
-    is kept per presentation and reused when its radius suffices.  The
-    ``max_radius`` guard turns an over-budget request into an error
-    instead of a runaway ball construction.
+    reaches the word gives the same answer.  Each call builds the ball it
+    needs.  The ``max_radius`` guard turns an over-budget request into an
+    error instead of a runaway ball construction.
     """
     presentation.check_word(word)
     nf = normal_form(presentation, word)
@@ -164,11 +159,9 @@ def canonical_form(
         raise UndecidedError(
             f"canonical form needs a radius-{radius} ball, over the {max_radius} budget"
         )
-    ball = _canonical_balls.get(presentation)
-    if ball is None or ball.radius < radius:
-        from .cayley import build_ball
+    from .cayley import build_ball
 
-        ball = _canonical_balls[presentation] = build_ball(presentation, radius)
+    ball = build_ball(presentation, radius)
     return ball.vertices[ball.vertex_of(w)]
 
 

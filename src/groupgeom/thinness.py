@@ -26,9 +26,6 @@ import numpy as np
 
 from .cayley import CayleyBall, VertexRef, check_memory
 
-# Bytes of side vectors delta_estimate keeps at once, all 20,520 sides of
-# the 3,193-vertex surface ball; evicting one only means computing it again.
-_SIDE_CACHE_BYTES = 64 << 20
 # Working bytes of one chunk of triangles, and of one batch of the side DP.
 _CHUNK_BYTES = 128 << 10
 
@@ -149,13 +146,17 @@ def _triples(ball: CayleyBall, D: np.ndarray) -> np.ndarray:
     elig = D + d0[:, None]
     elig += d0
     elig = elig <= 2 * ball.radius
-    blocks = []
-    for i in range(len(ball)):
+    n, blocks, count = len(ball), [], 0
+    for i in range(n):
         js = (np.nonzero(elig[i, i + 1 :])[0] + i + 1).astype(np.int32)
         a, b = np.nonzero(np.triu(elig[np.ix_(js, js)], 1))
         j, k = js[a], js[b]
         longest = np.maximum(np.maximum(D[i, j], D[i, k]), D[j, k])
         blocks.append(np.column_stack((np.full_like(j, i), j, k, longest)))
+        # A row is 16 bytes; with the concatenated copy, the sorted one and
+        # the sort's keys and index, the list peaks at about 56 a row.
+        count += len(j)
+        check_memory(56 * count, f"the triangle list of a {n}-vertex ball")
     rows = np.concatenate(blocks)
     return rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], -rows[:, 3]))]
 
@@ -173,9 +174,10 @@ def delta_estimate(
     one).
     Triangles that provably cannot beat the running maximum are skipped:
     every point on a side is within half that side's length of a shared
-    corner, so thinness never exceeds half the longest side.  Raises
-    ``MemoryError`` before allocating when the ball's n-by-n arrays
-    cannot fit in physical memory.
+    corner, so thinness never exceeds half the longest side.  Each side's
+    adversary vector is built once, into a table with a row per distinct
+    side.  Raises ``MemoryError`` before allocating when the ball's n-by-n
+    arrays, its triangle list or that table cannot fit in physical memory.
     """
     if ball.radius < 2:
         raise ValueError("delta estimation needs radius >= 2")
@@ -184,9 +186,10 @@ def delta_estimate(
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
     # D, then the int16 sum and the bool eligibility matrix of _triples;
-    # the working set of a chunk of triangles is a constant, so 5 bytes per
-    # pair stays an upper bound.
-    check_memory(len(ball), 5, "delta estimation")
+    # the triangle list and the side table have guards of their own, and
+    # the working set of a chunk of triangles is a constant.
+    n = len(ball)
+    check_memory(5 * n * n, f"delta estimation of a {n}-vertex ball")
     D = ball.distance_matrix()
     rows = _triples(ball, D)
     policy = "exhaustive"
@@ -194,66 +197,55 @@ def delta_estimate(
         policy = f"random(seed={seed}, count={sample_count})"
         picks = random.Random(seed).sample(range(len(rows)), min(sample_count, len(rows)))
         rows = rows[sorted(picks)]
-    n = len(ball)
     # Each row's sides (i, j), (j, k), (i, k) as indices into their sorted keys a * n + b.
     corners = rows[:, :3].astype(np.min_scalar_type(-n * n))
     ids = corners[:, [0, 1, 0]] * n + corners[:, [1, 2, 2]]
     keys = np.sort(ids, axis=None, kind="stable")
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    ids = np.searchsorted(keys, ids).astype(np.int32)
-    # The side cache: adversary vectors (at most twice the radius) as rows of one
-    # array, the least recently used chunk's evicted first (never-filled slots have
-    # used -1, so they go before any of them).  A chunk holds at most cap // 3 rows,
-    # so it never evicts its own sides; slot_of[-1] owns free slots.
+    # Wide enough for the gather offsets id * n + point.
+    ids = np.searchsorted(keys, ids).astype(np.min_scalar_type(-len(keys) * n))
+    # The side table: a row per side, its adversary vector (at most twice the
+    # radius), built the first time a chunk reads it.  Every side has at least
+    # two states, so a size of 0 marks one not built yet.
     dtype = np.min_scalar_type(2 * ball.radius)
-    cap = min(len(keys), max(3, _SIDE_CACHE_BYTES // (dtype.itemsize * n)))
-    pool = np.empty((cap, n), dtype=dtype)
-    slot_of = np.full(len(keys) + 1, -1, dtype=np.int32)
-    owner, used, sizes = np.full(cap, -1), np.full(cap, -1), np.zeros(cap, dtype=np.int32)
-    nodes: list = [None] * cap
+    check_memory(len(keys) * n * dtype.itemsize, f"the side table of a {n}-vertex ball")
+    table = np.empty((len(keys), n), dtype=dtype)
+    sizes = np.zeros(len(keys), dtype=np.int32)
+    nodes: list = [None] * len(keys)
     run_end = np.append(np.flatnonzero(np.diff(rows[:, 3])) + 1, len(rows))
-    best, first, lo, chunk, step, per_side, filled = 0, None, 0, 0, 1, n, 0
+    best, first, lo, step, per_side = 0, None, 0, 1, n
     # Chunks stay inside a run of equal longest side.  Sides only shorten
     # from here and best only rises: no later row can win.
     while lo < len(rows) and (rows[lo, 3] + 1) // 2 >= best:
         hi = min(lo + step, int(run_end[np.searchsorted(run_end, lo, side="right")]))
-        slots = slot_of[ids[lo:hi]]
-        used[slots[slots >= 0]] = chunk
-        missing = ids[lo:hi][slots < 0]
-        missing = missing[np.argsort(missing, kind="stable")]
+        sides = ids[lo:hi]
+        missing = np.sort(sides[sizes[sides] == 0], kind="stable")
         missing = missing[np.diff(missing, prepend=-1) != 0]
-        if filled + len(missing) > cap:
-            free, filled = np.argsort(used, kind="stable")[: len(missing)], cap
-        else:
-            free, filled = np.arange(filled, filled + len(missing)), filled + len(missing)
-        slot_of[owner[free]] = -1
-        slot_of[missing], owner[free], used[free] = free, missing, chunk
         a, b = np.divmod(keys[missing], n)
         size = max(1, _CHUNK_BYTES // per_side)
         for s in range(0, len(missing), size):
             side, v, M = _side_dp(ball, D, a[s : s + size], b[s : s + size])
-            at = free[s : s + size]
+            at = missing[s : s + size]
             sizes[at] = np.bincount(side, minlength=len(at))
             # D[a] + D[b] and its mask, then two int16 rows per state of the largest side.
             per_side = n * (7 + 2 * int(sizes[at].max()))
             grouped, ends = np.argsort(side, kind="stable"), np.cumsum(sizes[at])
-            pool[at] = M[grouped[ends - 1]]
-            for slot, own in zip(at.tolist(), np.split(v[grouped].astype(np.int32), ends[:-1])):
-                nodes[slot] = own
-        slots = slot_of[ids[lo:hi]]
-        count = sizes[slots]
-        points = np.concatenate([nodes[slot] for slot in slots.ravel().tolist()])
+            table[at] = M[grouped[ends - 1]]
+            for i, own in zip(at.tolist(), np.split(v[grouped].astype(np.int32), ends[:-1])):
+                nodes[i] = own
+        count = sizes[sides]
+        points = np.concatenate([nodes[i] for i in sides.ravel().tolist()])
         # Each (triangle, side, point) against the other two sides' vectors.
-        other = [np.repeat(np.roll(slots, -r, axis=1).ravel() * n, count.ravel()) for r in (1, 2)]
-        vals = np.minimum(pool.ravel()[other[0] + points], pool.ravel()[other[1] + points])
+        other = [np.repeat(np.roll(sides, -r, axis=1).ravel() * n, count.ravel()) for r in (1, 2)]
+        vals = np.minimum(table.ravel()[other[0] + points], table.ravel()[other[1] + points])
         count = count.sum(axis=1)
         delta = np.maximum.reduceat(vals, np.cumsum(count) - count)
         k = int(delta.argmax())
         if delta[k] > best:
             best, first = int(delta[k]), lo + k
         # Bytes per (triangle, side, point): an int32 point, two positions, values.
-        step = max(1, min(cap // 3, _CHUNK_BYTES * (hi - lo) // (18 * len(points))))
-        lo, chunk = hi, chunk + 1
+        step = max(1, _CHUNK_BYTES * (hi - lo) // (18 * len(points)))
+        lo = hi
     witness = None
     if first is not None:
         best, witness = triangle_thinness(ball, *rows[first, :3].tolist())

@@ -126,7 +126,6 @@ class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...] = ()
     family: Optional[str] = None
-    family_param: Optional[int] = None
 
     def __post_init__(self):
         if not self.generators:
@@ -150,7 +149,7 @@ class Presentation:
         object.__setattr__(self, "relators", tuple(reduced))
         object.__setattr__(self, "generators", tuple(self.generators))
         # Every per-presentation cache hashes its key on each lookup.
-        fields = (self.generators, self.relators, self.family, self.family_param)
+        fields = (self.generators, self.relators, self.family)
         object.__setattr__(self, "_hash", hash(fields))
         object.__setattr__(self, "_alphabet", frozenset(range(-n, n + 1)) - {0})
 
@@ -160,7 +159,7 @@ class Presentation:
     def __reduce__(self):
         # Rebuild through the constructor: string hashes differ between
         # processes, so a stored hash must not travel with a pickle.
-        return Presentation, (self.generators, self.relators, self.family, self.family_param)
+        return Presentation, (self.generators, self.relators, self.family)
 
     @property
     def rank(self) -> int:
@@ -265,9 +264,9 @@ def standard_presentation(family: str, param: int = 0) -> Presentation:
             raise ValueError("free family needs rank >= 1")
         if param > 26:
             raise ValueError("text alphabet supports at most 26 generators")
-        return Presentation(tuple(_LOWER[:param]), (), family="free", family_param=param)
+        return Presentation(tuple(_LOWER[:param]), (), family="free")
     if family == "zz":
-        return Presentation(("a", "b"), ((1, 2, -1, -2),), family="zz", family_param=None)
+        return Presentation(("a", "b"), ((1, 2, -1, -2),), family="zz")
     if family == "surface":
         if param < 2:
             raise ValueError("surface family needs genus >= 2")
@@ -278,7 +277,7 @@ def standard_presentation(family: str, param: int = 0) -> Presentation:
         for i in range(param):
             x, y = 2 * i + 1, 2 * i + 2
             relator += [x, y, -x, -y]
-        return Presentation(gens, (tuple(relator),), family="surface", family_param=param)
+        return Presentation(gens, (tuple(relator),), family="surface")
     raise ValueError(f"unknown family: {family!r}")
 
 
@@ -379,8 +378,8 @@ def format_presentation(presentation: Presentation) -> str:
     for rel in presentation.relators:
         lines.append("rels: " + format_word(rel, presentation))
     if presentation.family is not None:
-        if presentation.family_param is not None:
-            lines.append(f"family: {presentation.family} {presentation.family_param}")
-        else:
-            lines.append(f"family: {presentation.family}")
+        # The generators fix the parameter: free n has rank n, surface g
+        # rank 2g, and zz takes none.
+        param = {"free": f" {presentation.rank}", "surface": f" {presentation.rank // 2}"}
+        lines.append(f"family: {presentation.family}{param.get(presentation.family, '')}")
     return "\n".join(lines) + "\n"

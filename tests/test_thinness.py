@@ -556,41 +556,6 @@ def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius, count):
     assert set(in_scan) == used
 
 
-@pytest.mark.parametrize("pres, radius", [(ZZ, 4), (SURF2, 2)], ids=["zz-r4", "surface2-r2"])
-def test_evicting_every_side_leaves_report_unchanged(monkeypatch, pres, radius):
-    ball = build_ball(pres, radius)
-    expected = delta_estimate(ball)
-    calls = _counting_side_dp(monkeypatch)
-    monkeypatch.setattr(thinness, "_SIDE_CACHE_BYTES", 1)
-    assert delta_estimate(ball) == expected
-    built = [pair for call in calls for pair in call]
-    assert len(built) > len(set(built))
-
-
-@lru_cache(maxsize=None)
-def _cached_reference_report(pres, radius, count, seed):
-    return _reference_report(build_ball(pres, radius), count, seed)
-
-
-@pytest.mark.parametrize("slots", [4, 7, 50])
-@pytest.mark.parametrize(
-    "pres, radius, count",
-    [(ZZ, 4, None), (ZZ, 5, None), (ZZ, 5, 300), (SURF2, 2, None), (SURF2, 2, 300)],
-    ids=["zz-r4", "zz-r5", "zz-r5-sample300", "surface2-r2", "surface2-r2-sample300"],
-)
-def test_partial_side_cache_matches_reference(monkeypatch, pres, radius, count, slots):
-    # A cache of a few slots, fewer than the sides: once full it evicts,
-    # and chunks that miss only a side or two must not take a slot that a
-    # side of the current chunk still holds.
-    ball = build_ball(pres, radius)
-    seed = count and 5
-    calls = _counting_side_dp(monkeypatch)
-    monkeypatch.setattr(thinness, "_SIDE_CACHE_BYTES", slots * len(ball))
-    assert delta_estimate(ball, count, seed) == _cached_reference_report(pres, radius, count, seed)
-    built = [pair for call in calls for pair in call]
-    assert len(built) > len(set(built))
-
-
 @pytest.mark.parametrize(
     "pres, radius, count",
     [(ZZ, 4, None), (ZZ, 5, 300), (SURF2, 2, None), (UNTAGGED_ZZ, 3, None)],
@@ -627,8 +592,56 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {6 * n * n:,} bytes"):
         ball.distance_matrix()
     assert ball._matrix is None
-    monkeypatch.setattr(cayley, "physical_memory", lambda: 6 * n * n)
+    # The triangle list peaks at 56 bytes a triple, more than the distance
+    # matrix and the side table (a one-byte vector per side) need.
+    triples, sides = _triples_and_sides(monkeypatch, ball)
+    need = 56 * triples
+    assert need > max(6 * n * n, sides * n)
+    monkeypatch.setattr(cayley, "physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"triangle list of a {n}-vertex ball needs about {need:,}"):
+        delta_estimate(ball)
+    monkeypatch.setattr(cayley, "physical_memory", lambda: need)
     assert delta_estimate(ball).delta == 2
+
+    # A free ball has more sides than triangles: the side table is the
+    # largest array.
+    ball = build_ball(F2, 5)
+    n = len(ball)
+    triples, sides = _triples_and_sides(monkeypatch, ball)
+    assert sides * n > max(6 * n * n, 56 * triples)
+    monkeypatch.setattr(cayley, "physical_memory", lambda: max(6 * n * n, 56 * triples))
+    message = f"side table of a {n}-vertex ball needs about {sides * n:,} bytes"
+    with pytest.raises(MemoryError, match=message):
+        delta_estimate(ball)
+
+
+def _triples_and_sides(monkeypatch, ball):
+    """How many unclipped triples the ball has, and distinct sides among
+    them; leaves the memory guards off."""
+    monkeypatch.setattr(cayley, "physical_memory", lambda: None)
+    rows = thinness._triples(ball, ball.distance_matrix()).tolist()
+    return len(rows), len({side for i, j, k, _ in rows for side in ((i, j), (j, k), (i, k))})
+
+
+def test_triangle_list_guard_refuses_before_building_it(monkeypatch):
+    ball = build_ball(ZZ, 8)
+    n = len(ball)
+    # The guard adds up each vertex's block of triples as it goes.
+    rows = thinness._triples(ball, ball.distance_matrix())
+    need = 56 * np.cumsum(np.bincount(rows[:, 0], minlength=n))
+    monkeypatch.setattr(cayley, "physical_memory", lambda: 6 * n * n)
+    refused = int(need[need > 6 * n * n][0])
+    message = f"triangle list of a {n}-vertex ball needs about {refused:,} bytes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=message):
+            delta_estimate(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Refused after a few blocks, far short of the list itself.
+    assert 56 * len(rows) > 3 << 20
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

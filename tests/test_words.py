@@ -218,8 +218,8 @@ def test_equal_presentations_hash_equal_and_share_cache_entries(build):
 
 def test_the_cached_alphabet_is_no_field_and_is_rebuilt_by_unpickling():
     # check_word's letter set lives beside the fields, like the cached
-    # hash, so equality, repr and the pickle see only the four fields.
-    assert [f.name for f in fields(Presentation)] == ["generators", "relators", "family", "family_param"]
+    # hash, so equality, repr and the pickle see only the three fields.
+    assert [f.name for f in fields(Presentation)] == ["generators", "relators", "family"]
     for p in (ZZ, SURF2, F2):
         q = pickle.loads(pickle.dumps(p))
         assert q == p and hash(q) == hash(p)
