@@ -73,7 +73,7 @@ class CayleyBall:
     def distances_from(self, source: VertexRef) -> list[int]:
         src = self._resolve(source)
         if self._matrix is not None:
-            return list(self._matrix[src])
+            return self._matrix[src].tolist()
         return self._bfs(src)
 
     def _bfs(self, src: int) -> list[int]:
@@ -150,25 +150,25 @@ class CayleyBall:
 class ElementIndex:
     """Word deduplication by group element.
 
-    Presentations with a :func:`normal_form` (no relators, or the tagged
-    commuting pair) get O(1) lookups; everything else is bucketed by
-    abelianized residue and compared pairwise with the equality oracle.
-    An Unknown comparison raises rather than risking a merged or split
-    element.  :func:`build_ball` asks only where no relator loop closes.
+    Words are bucketed by a key that equal elements share: the
+    :func:`normal_form` where one exists (no relators, or the tagged
+    commuting pair), else the abelianized residue.  A normal-form bucket
+    holds one element; the rest are compared pairwise with the equality
+    oracle.  An Unknown comparison raises rather than risking a merged or
+    split element.  :func:`build_ball` asks only where no relator loop closes.
     """
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
         self.reps: list[Word] = []
         self._exact = normal_form(presentation, ()) is not None
-        self._by_key: dict = {}
+        self._key = normal_form if self._exact else abelian_residue
         self._buckets: dict = {}
 
     def find(self, word: Word) -> Optional[int]:
-        if self._exact:
-            return self._by_key.get(normal_form(self.presentation, word))
-        bucket = self._buckets.get(abelian_residue(self.presentation, word), ())
-        for cand in bucket:
+        for cand in self._buckets.get(self._key(self.presentation, word), ()):
+            if self._exact:
+                return cand
             answer = words_equal(self.presentation, word, self.reps[cand])
             if answer is Tristate.EQUAL:
                 return cand
@@ -183,12 +183,7 @@ class ElementIndex:
     def add(self, word: Word) -> int:
         idx = len(self.reps)
         self.reps.append(word)
-        if self._exact:
-            self._by_key[normal_form(self.presentation, word)] = idx
-        else:
-            self._buckets.setdefault(
-                abelian_residue(self.presentation, word), []
-            ).append(idx)
+        self._buckets.setdefault(self._key(self.presentation, word), []).append(idx)
         return idx
 
     def find_or_add(self, word: Word) -> int:

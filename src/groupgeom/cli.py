@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .bench import WordSource, run_bench
@@ -134,6 +135,14 @@ def _ball_payload(pres, ball) -> dict:
     }
 
 
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _area_caps(args, caps: AreaCaps) -> AreaCaps:
     """``--max-area`` and ``--max-len``, each defaulting to its field of ``caps``."""
     return AreaCaps(
@@ -191,11 +200,7 @@ def _dispatch(args) -> int:
 
     if cmd == "ball":
         ball = build_ball(pres, args.radius)
-        text = json.dumps(_ball_payload(pres, ball)) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit(json.dumps(_ball_payload(pres, ball)) + "\n", args.out)
         return 0
 
     if cmd == "delta":
@@ -296,12 +301,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "pres":
-        pres = standard_presentation(args.family, args.param)
-        text = format_presentation(pres)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit(format_presentation(standard_presentation(args.family, args.param)), args.out)
         return 0
 
     raise ValueError(f"unhandled command {cmd!r}")

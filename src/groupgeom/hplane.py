@@ -9,7 +9,9 @@ the angle is minimized at cos t = K/M, giving cosh d = sqrt(M^2 - K^2) /
 over points p along a side is numerical: coarse samples refined by golden
 section around the best one, for every side of a batch of triangles at
 once in numpy arrays (one entry per side, golden-section steps in
-lockstep).  The winning value is recomputed with the scalar functions.
+lockstep).  Points along a side come from the tangent walk of
+``h_geodesic_point`` (``point_at``), in the arrays as in the scalar
+function.  The winning value is recomputed with the scalar functions.
 """
 
 from __future__ import annotations
@@ -135,16 +137,21 @@ def _dist(px, py, qx, qy):
 
 
 def _geodesic(px, py, qx, qy):
-    """Points along arrays of sides by arclength on the semicircle,
-    u = log tan(theta / 2): returns t -> (x, y)."""
-    vertical, cx, r = _circle(px, py, qx, qy)
-    up = np.log(np.tan(np.arctan2(py, px - cx) / 2.0))
-    uq = np.log(np.tan(np.arctan2(qy, qx - cx) / 2.0))
+    """``h_geodesic_point`` over arrays of sides: returns t -> (x, y)."""
+    vertical, cx, _ = _circle(px, py, qx, qy)
+    s = np.where(qx > px, 1.0, -1.0)
+    half = np.arctan2(s * py, s * (cx - px)) / 2.0
+    cs, sn = np.cos(half), np.sin(half)
+    length = _dist(px, py, qx, qy)
 
     def point(t):
-        theta = 2.0 * np.arctan(np.exp((1.0 - t) * up + t * uq))
-        x = np.where(vertical, px, cx + r * np.cos(theta))
-        return x, np.where(vertical, py * (qy / py) ** t, r * np.sin(theta))
+        # point_at(p, angle, t * length), term for term
+        zy = np.exp(t * length)
+        num_y, den_y = zy * cs, zy * sn
+        den = cs * cs + den_y * den_y
+        x = py * ((-sn * cs + num_y * den_y) / den) + px
+        y = py * ((num_y * cs + sn * den_y) / den)
+        return np.where(vertical, px, x), np.where(vertical, py * (qy / py) ** t, y)
 
     return point
 

@@ -25,6 +25,7 @@ from .words import (
     Word,
     conjugacy_rep,
     free_reduce,
+    letter_key,
     shortlex_key,
     symmetrize,
 )
@@ -324,7 +325,7 @@ def _closed_reduced_words(presentation: Presentation, n_max: int):
         return []
     ball = build_ball(presentation, n_max // 2)
     letters_of = [
-        sorted(ball.adjacency[v].items(), key=lambda kv: (abs(kv[0]), kv[0] < 0))
+        sorted(ball.adjacency[v].items(), key=lambda kv: letter_key(kv[0]))
         for v in range(len(ball.vertices))
     ]
     dist = ball.dist
@@ -394,17 +395,26 @@ def dehn_function(
 def fit_growth(table) -> GrowthClass:
     """Log-log least-squares slope, binned into linear / quadratic / other.
 
-    Accepts a DehnTable, the rows of ``run_bench``, or bare (n, value)
-    rows.  A table with no positive values classifies linear by convention.
+    Accepts a DehnTable or (n, value) rows.  Every value must be finite,
+    and the rows with positive n and value must span two lengths.  A table
+    with no positive values classifies linear by convention.
     """
-    rows = _extract_rows(table)
+    if isinstance(table, DehnTable):
+        rows = [(row.n, row.max_area) for row in table.rows]
+    else:
+        rows = [(int(n), float(value)) for n, value in table]
     if not rows:
         raise ValueError("empty table")
+    for row in rows:
+        if not math.isfinite(row[1]):
+            raise ValueError(f"row {row}: value is not finite")
     positive = [(n, v) for n, v in rows if v > 0 and n > 0]
     if not positive:
         return GrowthClass("linear", 0.0, 0.0)
     if len(positive) < 3:
         raise ValueError("need at least 3 rows with positive values to fit")
+    if len({n for n, _ in positive}) < 2:
+        raise ValueError("need rows at two distinct lengths with positive values to fit")
     xs = [math.log(n) for n, _ in positive]
     ys = [math.log(v) for _, v in positive]
     slope, intercept = statistics.linear_regression(xs, ys)
@@ -418,18 +428,3 @@ def fit_growth(table) -> GrowthClass:
     else:
         kind = "other"
     return GrowthClass(kind, slope, residual)
-
-
-def _extract_rows(table) -> list[tuple[int, int]]:
-    rows = getattr(table, "rows", table)
-    out = []
-    for row in rows:
-        if hasattr(row, "n"):
-            value = getattr(row, "max_area", None)
-            if value is None:
-                value = row.steps
-            out.append((row.n, value))
-        else:
-            n, value = row[0], row[1]
-            out.append((int(n), float(value)))
-    return out

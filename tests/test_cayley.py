@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ from groupgeom import cayley, isoperimetry
 from groupgeom.cayley import ElementIndex, all_geodesics, build_ball
 from groupgeom.isoperimetry import AreaCaps
 from groupgeom.oracle import Tristate, UndecidedError, canonical_form, words_equal
+from groupgeom.qi import compare_metrics
 from groupgeom.words import Presentation, multiply, parse_word, standard_presentation
 
 ZZ = standard_presentation("zz")
@@ -79,6 +81,31 @@ def test_unclipped_flags_possible_clipping():
     ball = build_ball(ZZ, 2)
     assert not ball.unclipped(parse_word("aa", ZZ), parse_word("AA", ZZ))
     assert ball.unclipped((), parse_word("a", ZZ))
+
+
+def test_distance_rows_are_ints_with_or_without_the_matrix():
+    ball = build_ball(SURF2, 2)
+    rows = [ball.distances_from(v) for v in range(len(ball))]
+    flags = [ball.unclipped(0, v) for v in range(len(ball))]
+    ball.distance_matrix()
+    assert [ball.distances_from(v) for v in range(len(ball))] == rows
+    for row in (rows[5], ball.distances_from(5)):
+        assert {type(d) for d in row} == {int}
+    assert [ball.unclipped(0, v) for v in range(len(ball))] == flags
+    assert {type(ball.unclipped(0, v)) for v in range(len(ball))} == {bool}
+    json.dumps(ball.distances_from(0))
+
+
+def test_normal_form_index_never_asks_the_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("words_equal called on a presentation with a normal form")
+
+    monkeypatch.setattr(cayley, "words_equal", refuse)
+    assert len(build_ball(F2, 4)) == 161
+    assert len(build_ball(ZZ, 6)) == 85
+    gens = [parse_word(t, ZZ) for t in ("a", "b", "ab")]
+    report = compare_metrics(ZZ, None, gens, 4)
+    assert (report.lam, report.c) == (2.0, 0)
 
 
 def test_distance_matrix_triangle_inequality():

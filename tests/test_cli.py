@@ -120,6 +120,24 @@ def test_dehn_function_fit_pipeline(zz_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("quadratic")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("4,nan\n8,2\n12,3\n16,4\n", "row (4, nan)"),
+        ("4,1\n8,inf\n12,3\n16,4\n", "row (8, inf)"),
+        ("4,1\n4,2\n4,3\n", "two distinct lengths"),
+    ],
+    ids=["nan", "inf", "one-length"],
+)
+def test_fit_rejects_non_finite_and_single_length_tables(tmp_path, capsys, rows, message):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text("n,value\n" + rows)
+    assert main(["fit", str(csv_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_delta_text_and_json(zz_file, capsys):
     assert main(["delta", "--pres", zz_file, "--radius", "4"]) == 0
     assert capsys.readouterr().out.startswith("delta=2")
@@ -267,7 +285,7 @@ def test_cli_matches_library(zz_file, capsys):
     from groupgeom.oracle import Tristate, words_equal
     from groupgeom.words import parse_presentation, parse_word
 
-    pres = parse_presentation(open(zz_file).read())
+    pres = parse_presentation(Path(zz_file).read_text())
     u = parse_word("aaabb", pres)
     v = parse_word("ababa", pres)
     assert words_equal(pres, u, v) is Tristate.EQUAL

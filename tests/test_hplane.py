@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -89,6 +90,23 @@ def test_geodesic_additivity(p, q, t):
     total = h_dist(p, q)
     assert abs(h_dist(p, g) - t * total) < 1e-9
     assert abs(h_dist(p, g) + h_dist(g, q) - total) < 1e-9
+
+
+def test_survey_geodesic_matches_scalar():
+    # 20,000 seeded sides, every fifth near-vertical (dx from 1e-9 to 1e-3)
+    rng = random.Random(20)
+    rows = []
+    for k in range(20_000):
+        px, py, qy = rng.uniform(-20, 20), rng.uniform(0.05, 50), rng.uniform(0.05, 50)
+        qx = px + 10 ** rng.uniform(-9, -3) if k % 5 == 0 else rng.uniform(-20, 20)
+        rows.append((px, py, qx, qy, rng.random()))
+    px, py, qx, qy, t = np.array(rows).T
+    x, y = hplane._geodesic(px, py, qx, qy)(t)
+    worst = max(
+        h_dist(HPoint(xk, yk), h_geodesic_point(HPoint(*row[:2]), HPoint(*row[2:4]), row[4]))
+        for row, xk, yk in zip(rows, x, y)
+    )
+    assert worst <= 1e-12
 
 
 @given(points, points, points, st.floats(0.0, 1.0))

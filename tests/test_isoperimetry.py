@@ -1,4 +1,5 @@
 import heapq
+import math
 import os
 import subprocess
 import sys
@@ -313,6 +314,22 @@ def test_fit_growth_needs_three_positive_rows():
         fit_growth([(4, 1), (8, 2)])
     with pytest.raises(ValueError):
         fit_growth([])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(4, math.nan), (8, 2), (12, 3), (16, 4)], r"row \(4, nan\)"),
+        ([(4, 1), (8, math.inf), (12, 3), (16, 4)], r"row \(8, inf\)"),
+        ([(4, 1), (8, -math.inf), (12, 3), (16, 4)], r"row \(8, -inf\)"),
+        ([(4, 1), (4, 2), (4, 3)], "two distinct lengths"),
+        ([(4, 1), (4, 2), (4, 3), (8, 0)], "two distinct lengths"),
+    ],
+    ids=["nan", "inf", "-inf", "one-length", "one-positive-length"],
+)
+def test_fit_growth_rejects_non_finite_values_and_one_length(rows, message):
+    with pytest.raises(ValueError, match=message):
+        fit_growth(rows)
 
 
 def test_area_bounded_by_dehn_steps_on_surface_sample():
