@@ -395,19 +395,19 @@ def dehn_function(
 def fit_growth(table) -> GrowthClass:
     """Log-log least-squares slope, binned into linear / quadratic / other.
 
-    Accepts a DehnTable or (n, value) rows.  Every value must be finite,
-    and the rows with positive n and value must span two lengths.  A table
-    with no positive values classifies linear by convention.
+    Accepts a DehnTable or (n, value) rows.  Every n must be an integer and
+    every value finite, and the rows with positive n and value must span two
+    lengths.  A table with no positive values classifies linear by convention.
     """
     if isinstance(table, DehnTable):
         rows = [(row.n, row.max_area) for row in table.rows]
     else:
-        rows = [(int(n), float(value)) for n, value in table]
+        rows = [(n, float(value)) for n, value in table]
     if not rows:
         raise ValueError("empty table")
     for row in rows:
-        if not math.isfinite(row[1]):
-            raise ValueError(f"row {row}: value is not finite")
+        if not (float(row[0]).is_integer() and math.isfinite(row[1])):
+            raise ValueError(f"row {row}: needs an integer length and a finite value")
     positive = [(n, v) for n, v in rows if v > 0 and n > 0]
     if not positive:
         return GrowthClass("linear", 0.0, 0.0)

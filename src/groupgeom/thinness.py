@@ -4,30 +4,32 @@ A triangle's thinness here is the worst case over geodesic choices: the
 largest distance from a point on one side to the union of the other two
 sides, maximized over all length-minimizing paths for all three sides.
 Rather than enumerating geodesics (their count is binomial in flat
-directions), each side is handled through its shortest-path DAG: the set
-of vertices lying on any geodesic gives the candidate points p, and the
-adversary's "farthest geodesic" distance is a bottleneck max-min dynamic
-program over the DAG, which computes the exact maximum over all choices.
-The program runs one distance layer at a time for many sides at once,
-vectorized over every ball vertex, and a side's last row (its adversary
-vector) serves every triangle that shares the side: ``delta_estimate``
-reads a chunk of triangles by one gather over every (triangle, side,
-point).  The witness geodesics are drawn by one greedy walker that steps
-toward an endpoint along the DAG.
+directions), each side is handled through its shortest-path DAG: its
+vertices are the candidate points p, and the adversary's "farthest
+geodesic" distance is an exact bottleneck max-min dynamic program over
+it.  The program runs one distance layer at a time for many sides at
+once, over every ball vertex, and a side's last row (its adversary
+vector) serves every triangle on the side.  ``delta_estimate`` lists the
+unclipped triples in one array pass, each unclipped pair (i, j) extended
+by j's pairs (j, k), and reads a chunk of triangles by one gather over
+every (triangle, side, point).  The witness geodesics are drawn by one
+greedy walker that steps toward an endpoint along the DAG.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .cayley import CayleyBall, VertexRef, check_memory
 
-# Working bytes of one chunk of triangles, and of one batch of the side DP.
-_CHUNK_BYTES = 128 << 10
+# Working bytes of one chunk of triangles, and of one batch of the side DP;
+# a larger budget adds peak memory for little more speed (ROADMAP notes).
+_CHUNK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,9 @@ def triangle_thinness(
     the group's.
     """
     tri = tuple(ball._resolve(v) for v in (x, y, z))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not ball.unclipped(tri[i], tri[j]):
-                raise ValueError(
-                    f"pair {tri[i]},{tri[j]} may have geodesics clipped by the ball boundary"
-                )
+    for u, w in combinations(tri, 2):
+        if not ball.unclipped(u, w):
+            raise ValueError(f"pair {u},{w} may have geodesics clipped by the ball boundary")
     D = ball.distance_matrix()
     ends = [(tri[ia], tri[ib]) for ia, ib, _ in _SIDES]
     side, v, M = _side_dp(ball, D, *np.array(ends).T)
@@ -131,10 +130,8 @@ def triangle_thinness(
             # The geodesic that keeps farthest from p, walked back from b.
             row = dict(zip(v[k].tolist(), k.tolist()))
             paths.append(tuple(_descend(ball, b, a, D, key=lambda w: -M[row[w], p])[::-1]))
-    others = paths[(si + 1) % 3] + paths[(si + 2) % 3]
-    q = min(others, key=lambda v: (D[p][v], v))
-    witness = ThinnessWitness(tri, p, q, delta, tuple(paths))
-    return delta, witness
+    q = min(paths[(si + 1) % 3] + paths[(si + 2) % 3], key=lambda v: (D[p][v], v))
+    return delta, ThinnessWitness(tri, p, q, delta, tuple(paths))
 
 
 def _triples(ball: CayleyBall, D: np.ndarray) -> np.ndarray:
@@ -146,19 +143,23 @@ def _triples(ball: CayleyBall, D: np.ndarray) -> np.ndarray:
     elig = D + d0[:, None]
     elig += d0
     elig = elig <= 2 * ball.radius
-    n, blocks, count = len(ball), [], 0
-    for i in range(n):
-        js = (np.nonzero(elig[i, i + 1 :])[0] + i + 1).astype(np.int32)
-        a, b = np.nonzero(np.triu(elig[np.ix_(js, js)], 1))
-        j, k = js[a], js[b]
-        longest = np.maximum(np.maximum(D[i, j], D[i, k]), D[j, k])
-        blocks.append(np.column_stack((np.full_like(j, i), j, k, longest)))
-        # A row is 16 bytes; with the concatenated copy, the sorted one and
-        # the sort's keys and index, the list peaks at about 56 a row.
-        count += len(j)
-        check_memory(56 * count, f"the triangle list of a {n}-vertex ball")
-    rows = np.concatenate(blocks)
-    return rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], -rows[:, 3]))]
+    # The pairs i < j by i, then j.  A candidate extends a pair (i, j) by a pair
+    # (j, k); a pair or a candidate, its row included, peaks below 64 bytes.
+    upper = np.triu(elig, 1)
+    out = np.count_nonzero(upper, axis=1)
+    need = 64 * int(out.sum() + np.count_nonzero(upper, axis=0) @ out)
+    check_memory(need, f"the triangle list of a {len(ball)}-vertex ball")
+    pi, pj = (x.astype(np.int32) for x in np.nonzero(upper))
+    del upper
+    count = out[pj]
+    owner = np.repeat(np.arange(len(pj), dtype=np.min_scalar_type(-len(pj))), count)
+    # Candidate c of pair p is j's pair at cumsum(out)[j] - cumsum(count)[p] + c.
+    k = pj[np.repeat(np.cumsum(out)[pj] - np.cumsum(count), count) + np.arange(len(owner))]
+    keep = elig[pi[owner], k]
+    i, j, k = pi[owner[keep]], pj[owner[keep]], k[keep]
+    longest = np.maximum(np.maximum(D[i, j], D[i, k]), D[j, k])
+    # The rows come in (i, j, k) order: a stable sort by longest side ends it.
+    return np.column_stack((i, j, k, longest))[np.argsort(-longest, kind="stable")]
 
 
 def delta_estimate(
@@ -185,9 +186,9 @@ def delta_estimate(
         raise ValueError("random sampling needs an explicit seed")
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
-    # D, then the int16 sum and the bool eligibility matrix of _triples;
-    # the triangle list and the side table have guards of their own, and
-    # the working set of a chunk of triangles is a constant.
+    # D, then the int16 sum and the bool eligibility matrix of _triples (later
+    # that matrix and its upper triangle); the triangle list and the side table
+    # have guards of their own, and the working set of a chunk is a constant.
     n = len(ball)
     check_memory(5 * n * n, f"delta estimation of a {n}-vertex ball")
     D = ball.distance_matrix()
@@ -231,8 +232,9 @@ def delta_estimate(
             per_side = n * (7 + 2 * int(sizes[at].max()))
             grouped, ends = np.argsort(side, kind="stable"), np.cumsum(sizes[at])
             table[at] = M[grouped[ends - 1]]
-            for i, own in zip(at.tolist(), np.split(v[grouped].astype(np.int32), ends[:-1])):
-                nodes[i] = own
+            own = v[grouped].astype(np.int32)
+            for i, start, end in zip(at.tolist(), (ends - sizes[at]).tolist(), ends.tolist()):
+                nodes[i] = own[start:end]
         count = sizes[sides]
         points = np.concatenate([nodes[i] for i in sides.ravel().tolist()])
         # Each (triangle, side, point) against the other two sides' vectors.
@@ -246,7 +248,5 @@ def delta_estimate(
         # Bytes per (triangle, side, point): an int32 point, two positions, values.
         step = max(1, _CHUNK_BYTES * (hi - lo) // (18 * len(points)))
         lo = hi
-    witness = None
-    if first is not None:
-        best, witness = triangle_thinness(ball, *rows[first, :3].tolist())
+    witness = None if first is None else triangle_thinness(ball, *rows[first, :3].tolist())[1]
     return ThinnessReport(best, witness, len(rows), policy)

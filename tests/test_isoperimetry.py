@@ -307,6 +307,8 @@ def test_fit_growth_classes():
     assert lin.kind == "linear"
     cubic = fit_growth([(n, n**3) for n in (4, 8, 12, 16)])
     assert cubic.kind == "other"
+    # A length given as an integral float is still a length.
+    assert fit_growth([(float(n), n * n) for n in (4, 8, 12, 16)]).kind == "quadratic"
 
 
 def test_fit_growth_needs_three_positive_rows():
@@ -324,8 +326,10 @@ def test_fit_growth_needs_three_positive_rows():
         ([(4, 1), (8, -math.inf), (12, 3), (16, 4)], r"row \(8, -inf\)"),
         ([(4, 1), (4, 2), (4, 3)], "two distinct lengths"),
         ([(4, 1), (4, 2), (4, 3), (8, 0)], "two distinct lengths"),
+        ([(4.9, 16), (8.9, 64), (12.9, 144)], r"row \(4\.9, 16\.0\): needs an integer length"),
+        ([(4, 16), (math.inf, 64), (12, 144)], r"row \(inf, 64\.0\): needs an integer length"),
     ],
-    ids=["nan", "inf", "-inf", "one-length", "one-positive-length"],
+    ids=["nan", "inf", "-inf", "one-length", "one-positive-length", "fractional-length", "infinite-length"],
 )
 def test_fit_growth_rejects_non_finite_values_and_one_length(rows, message):
     with pytest.raises(ValueError, match=message):

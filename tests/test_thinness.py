@@ -468,13 +468,27 @@ def test_side_vector_matches_reference_dp(index):
         assert np.array_equal(vector, _reference_adversary_distances(dag, everywhere, D))
 
 
-@pytest.mark.parametrize("index", [*range(len(KERNEL_CASES)), None], ids=[*KERNEL_IDS, "surface2-r3"])
-def test_triples_match_the_reference_loop(index):
-    ball = build_ball(SURF2, 3) if index is None else _kernel_ball(index)
+TRIPLE_CASES = (
+    [("zz", ZZ, r) for r in range(2, 11)]
+    + [("free2", F2, r) for r in range(2, 6)]
+    + [("surface2", SURF2, r) for r in (2, 3)]
+    + [("untagged-zz", UNTAGGED_ZZ, r) for r in (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "pres, radius",
+    [(pres, r) for _, pres, r in TRIPLE_CASES],
+    ids=[f"{name}-r{r}" for name, _, r in TRIPLE_CASES],
+)
+def test_triples_match_the_reference_loop(pres, radius):
+    ball = build_ball(pres, radius)
     D = ball.distance_matrix()
     rows = thinness._triples(ball, D)
-    assert rows.shape == (len(rows), 4)
-    assert rows.tolist() == [list(t) for t in _reference_triples(ball, D)]
+    expected = np.array(_reference_triples(ball, D), dtype=np.int32).reshape(-1, 4)
+    assert rows.shape == expected.shape
+    assert rows.dtype == expected.dtype
+    assert np.array_equal(rows, expected)
 
 
 @pytest.mark.parametrize(
@@ -592,10 +606,10 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {6 * n * n:,} bytes"):
         ball.distance_matrix()
     assert ball._matrix is None
-    # The triangle list peaks at 56 bytes a triple, more than the distance
-    # matrix and the side table (a one-byte vector per side) need.
-    triples, sides = _triples_and_sides(monkeypatch, ball)
-    need = 56 * triples
+    # The triangle list peaks below 64 bytes a pair or candidate, more than
+    # the distance matrix and the side table (a one-byte vector per side) need.
+    sides = _distinct_sides(monkeypatch, ball)
+    need = _triangle_list_bytes(ball)
     assert need > max(6 * n * n, sides * n)
     monkeypatch.setattr(cayley, "physical_memory", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"triangle list of a {n}-vertex ball needs about {need:,}"):
@@ -603,35 +617,43 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(cayley, "physical_memory", lambda: need)
     assert delta_estimate(ball).delta == 2
 
-    # A free ball has more sides than triangles: the side table is the
-    # largest array.
-    ball = build_ball(F2, 5)
+    # On a free ball of radius 6 the side table, a byte per side and
+    # vertex, is the largest array.
+    ball = build_ball(F2, 6)
     n = len(ball)
-    triples, sides = _triples_and_sides(monkeypatch, ball)
-    assert sides * n > max(6 * n * n, 56 * triples)
-    monkeypatch.setattr(cayley, "physical_memory", lambda: max(6 * n * n, 56 * triples))
+    sides, need = _distinct_sides(monkeypatch, ball), _triangle_list_bytes(ball)
+    assert sides * n > max(6 * n * n, need)
+    monkeypatch.setattr(cayley, "physical_memory", lambda: max(6 * n * n, need))
     message = f"side table of a {n}-vertex ball needs about {sides * n:,} bytes"
     with pytest.raises(MemoryError, match=message):
         delta_estimate(ball)
 
 
-def _triples_and_sides(monkeypatch, ball):
-    """How many unclipped triples the ball has, and distinct sides among
-    them; leaves the memory guards off."""
+def _distinct_sides(monkeypatch, ball):
+    """How many distinct sides the ball's unclipped triples have; leaves
+    the memory guards off."""
     monkeypatch.setattr(cayley, "physical_memory", lambda: None)
     rows = thinness._triples(ball, ball.distance_matrix()).tolist()
-    return len(rows), len({side for i, j, k, _ in rows for side in ((i, j), (j, k), (i, k))})
+    return len({side for i, j, k, _ in rows for side in ((i, j), (j, k), (i, k))})
+
+
+def _triangle_list_bytes(ball):
+    """The triangle list guard's count: 64 bytes for each unclipped pair
+    i < j and for each candidate, a pair (i, j) followed by a pair (j, k)."""
+    D = ball.distance_matrix()
+    depth = np.asarray(ball.dist)
+    upper = np.triu(depth[:, None] + depth + D <= 2 * ball.radius, 1)
+    candidates = sum(int(upper[:j, j].sum()) * int(upper[j].sum()) for j in range(len(ball)))
+    return 64 * (int(upper.sum()) + candidates)
 
 
 def test_triangle_list_guard_refuses_before_building_it(monkeypatch):
     ball = build_ball(ZZ, 8)
     n = len(ball)
-    # The guard adds up each vertex's block of triples as it goes.
-    rows = thinness._triples(ball, ball.distance_matrix())
-    need = 56 * np.cumsum(np.bincount(rows[:, 0], minlength=n))
+    # The guard counts the pairs and candidates before it allocates either.
+    need = _triangle_list_bytes(ball)
     monkeypatch.setattr(cayley, "physical_memory", lambda: 6 * n * n)
-    refused = int(need[need > 6 * n * n][0])
-    message = f"triangle list of a {n}-vertex ball needs about {refused:,} bytes"
+    message = f"triangle list of a {n}-vertex ball needs about {need:,} bytes"
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match=message):
@@ -639,9 +661,33 @@ def test_triangle_list_guard_refuses_before_building_it(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Refused after a few blocks, far short of the list itself.
-    assert 56 * len(rows) > 3 << 20
+    # Refused at once, far short of what the list would take.
+    assert need > 3 << 20
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("pres, radius", [(ZZ, 10), (F2, 6)], ids=["zz-r10", "free2-r6"])
+def test_triangle_list_guard_bounds_its_peak(monkeypatch, pres, radius):
+    # Everything _triples allocates after its guard, the sorted rows
+    # included, fits in the bytes the guard states.
+    ball = build_ball(pres, radius)
+    D = ball.distance_matrix()
+    stated = []
+
+    def measure(need, what):
+        stated.append((need, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(thinness, "check_memory", measure)
+    tracemalloc.start()
+    try:
+        thinness._triples(ball, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(need, before)] = stated
+    assert need == _triangle_list_bytes(ball)
+    assert peak - before <= need
 
 
 @pytest.mark.parametrize(
