@@ -260,12 +260,16 @@ def _dispatch(args) -> int:
         rows = []
         for line in lines:
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) < 2:
-                continue
             try:
-                rows.append((int(parts[0]), float(parts[1])))
+                float(parts[0])
             except ValueError:
                 continue  # header or annotation line
+            try:
+                rows.append((int(parts[0]), float(parts[1])))
+            except (ValueError, IndexError):
+                raise ValueError(
+                    f"row {line!r}: needs an integer length and a finite value"
+                ) from None
         growth = fit_growth(rows)
         print(
             f"{growth.kind} exponent={_fmt(growth.exponent)} residual={_fmt(growth.residual)}"

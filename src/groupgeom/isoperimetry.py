@@ -26,7 +26,6 @@ from .words import (
     conjugacy_rep,
     free_reduce,
     letter_key,
-    shortlex_key,
     symmetrize,
 )
 
@@ -197,6 +196,12 @@ def _neighbors(word: Word, members, max_length: int):
     The filter drops some moves whose word would fit the cap; it stays,
     because which move the search records first depends on it.
 
+    The move of rho at ``pos`` is skipped when ``word[pos - 1]`` is
+    ``rho[-1]`` or ``-rho[0]``: a rotation of rho by one letter, inserted
+    at ``pos - 1``, makes the same word and passes the filter whenever
+    this move does, so that word was yielded already.  What is left
+    yields each neighbour once, at its first (pos, member).
+
     ``word`` and u^-1 are freely reduced, so letters cancel only at the
     two seams, and reach across from the left seam to the right once u^-1
     is used up.  The cut points are found by comparing letters and the
@@ -206,7 +211,10 @@ def _neighbors(word: Word, members, max_length: int):
     n = len(word)
     least = [max(0, (n + len(rho) - max_length - 1) // 2) for rho, _ in members]
     for pos in range(n + 1):
+        prev = word[pos - 1] if pos else 0
         for k, (rho, suffixes) in enumerate(members):
+            if prev == rho[-1] or prev == -rho[0]:
+                continue
             cut = least[k]
             if cut and (cut > len(rho) or word[pos : pos + cut] != rho[:cut]):
                 continue
@@ -249,8 +257,6 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
     if start == EMPTY:
         return AreaResult(0, caps, ())
     relators = symmetrize(presentation)
-    if not relators.members:
-        return AreaResult(None, caps, None)
     if any(abelian_residue(presentation, start)):
         # Moves preserve the abelianized residue and the empty word has
         # residue zero, so no derivation exists at any cap.
@@ -288,8 +294,6 @@ def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None
             continue  # stale entry
         if w == EMPTY:
             return found(g)
-        if g >= caps.max_area:
-            continue
         states = _winding_states(w, forms)
         for pos, cut, k, nxt in _neighbors(w, members, max_len):
             ng = g + 1
@@ -349,7 +353,9 @@ def _closed_reduced_words(presentation: Presentation, n_max: int):
             word.pop()
 
     rec(0)
-    out.sort(key=shortlex_key)
+    # The walk tries letters in ``letter_key`` order, so ``out`` is already
+    # lexicographic; a stable sort by length makes it shortlex.
+    out.sort(key=len)
     return out
 
 

@@ -25,7 +25,6 @@ from .words import (
     conjugacy_rep,
     free_reduce,
     invert,
-    multiply,
     shortlex_key,
     small_cancellation,
     symmetrize,
@@ -170,34 +169,21 @@ def generate_null_homotopic(
 ) -> tuple[Word, ...]:
     """Words built by splicing up to ``max_insertions`` symmetrized relators
     into the empty word, keeping every freely reduced result of length at
-    most ``max_length``.  All outputs equal the identity by construction.
+    most ``max_length``: the breadth-first closure of the area search's
+    relator moves.  All outputs equal the identity by construction.
     Returned shortlex-sorted, starting with the empty word.
     """
     if max_insertions < 0 or max_length < 0:
         raise ValueError("budgets must be nonnegative")
-    members = symmetrize(presentation).members
+    from .isoperimetry import _neighbors
+
+    relators = symmetrize(presentation)
+    members = tuple(zip(relators.members, relators.inverted_suffixes))
     seen: set[Word] = {EMPTY}
     frontier: set[Word] = {EMPTY}
     for _ in range(max_insertions):
-        grown: set[Word] = set()
-        for w in frontier:
-            for cut in range(len(w) + 1):
-                head, tail = w[:cut], w[cut:]
-                for rho in members:
-                    # rho here makes the word that its rotation by one letter
-                    # makes at the next cut (rho[0] == w[cut]) or at the one
-                    # before (rho[0] cancels w[cut - 1]).  Members are cyclically
-                    # reduced, so a chain of such skips keeps one direction and
-                    # ends at a pair that is not skipped.
-                    if (cut < len(w) and rho[0] == w[cut]) or (cut and rho[0] == -w[cut - 1]):
-                        continue
-                    cand = multiply(head, rho, tail)
-                    if len(cand) <= max_length and cand not in seen:
-                        grown.add(cand)
-        seen |= grown
-        frontier = grown
-        if not frontier:
-            break
+        frontier = {nxt for w in frontier for *_, nxt in _neighbors(w, members, max_length)} - seen
+        seen |= frontier
     return tuple(sorted(seen, key=shortlex_key))
 
 

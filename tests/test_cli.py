@@ -126,8 +126,11 @@ def test_dehn_function_fit_pipeline(zz_file, tmp_path, capsys):
         ("4,nan\n8,2\n12,3\n16,4\n", "row (4, nan)"),
         ("4,1\n8,inf\n12,3\n16,4\n", "row (8, inf)"),
         ("4,1\n4,2\n4,3\n", "two distinct lengths"),
+        ("4,1\n4.5,9\n8,2\n12,3\n16,4\n", "row '4.5,9'"),
+        ("4,1\n8,x\n12,3\n16,4\n", "row '8,x'"),
+        ("4,1\n8\n12,3\n16,4\n", "row '8'"),
     ],
-    ids=["nan", "inf", "one-length"],
+    ids=["nan", "inf", "one-length", "non-integer-length", "non-numeric-value", "no-value"],
 )
 def test_fit_rejects_non_finite_and_single_length_tables(tmp_path, capsys, rows, message):
     csv_path = tmp_path / "table.csv"

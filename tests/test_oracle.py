@@ -221,9 +221,11 @@ def _reference_null_homotopic(presentation, max_insertions, max_length):
         (GENERIC_ZZ, 3, 10),
         (Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2))), 3, 9),
         (Presentation(("a", "b"), ((2, 1, -2, -1, -1),)), 2, 12),
+        (Presentation(("a",), ((1, 1, 1, 1),)), 4, 9),
+        (Presentation(("a", "b", "c"), ((1, 2, -1, -2), (1, 1, 3, -2, 3), (3, 3, 3))), 2, 10),
     ],
     ids=["zz-3-12", "zz-4-10", "surface2-2-16", "surface3-2-16", "generic-zz-3-10",
-         "triangle-3-9", "bs12-2-12"],
+         "triangle-3-9", "bs12-2-12", "cyclic4-4-9", "three-gen-2-10"],
 )
 def test_generate_matches_the_plain_insertion_loop(pres, insertions, length):
     assert generate_null_homotopic(pres, insertions, length) == _reference_null_homotopic(
