@@ -8,10 +8,12 @@ the angle is minimized at cos t = K/M, giving cosh d = sqrt(M^2 - K^2) /
 (2yR) when the foot lands inside the segment).  Only the maximization
 over points p along a side is numerical: coarse samples refined by golden
 section around the best one, for every side of a batch of triangles at
-once in numpy arrays (one entry per side, golden-section steps in
-lockstep).  Points along a side come from the tangent walk of
-``h_geodesic_point`` (``point_at``), in the arrays as in the scalar
-function.  The winning value is recomputed with the scalar functions.
+once in numpy arrays (one entry per side; the coarse samples a block of
+columns at a time, golden-section steps in lockstep).  The formulas for
+vertical sides run only for a batch that holds one.  Points along a side
+come from the tangent walk of ``h_geodesic_point`` (``point_at``), in the
+arrays as in the scalar function.  The winning value is recomputed with
+the scalar functions.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 60  # each shrinks the bracket by _GOLDEN: 60 leave about 3e-13 of it
 
 _CHUNK = 256  # triangles per array pass of a survey; bounds its memory
+_BLOCK = 8  # coarse samples per array pass; all at once cost 10x the memory
 
 
 @dataclass(frozen=True)
@@ -143,37 +146,49 @@ def _geodesic(px, py, qx, qy):
     half = np.arctan2(s * py, s * (cx - px)) / 2.0
     cs, sn = np.cos(half), np.sin(half)
     length = _dist(px, py, qx, qy)
+    neg_sn_cs, cs_cs, ratio = -sn * cs, cs * cs, qy / py
+    any_vertical = vertical.any()
 
     def point(t):
         # point_at(p, angle, t * length), term for term
         zy = np.exp(t * length)
         num_y, den_y = zy * cs, zy * sn
-        den = cs * cs + den_y * den_y
-        x = py * ((-sn * cs + num_y * den_y) / den) + px
+        den = cs_cs + den_y * den_y
+        x = py * ((neg_sn_cs + num_y * den_y) / den) + px
         y = py * ((num_y * cs + sn * den_y) / den)
-        return np.where(vertical, px, x), np.where(vertical, py * (qy / py) ** t, y)
+        if not any_vertical:
+            return x, y
+        return np.where(vertical, px, x), np.where(vertical, py * ratio**t, y)
 
     return point
 
 
 def _to_segment(ax, ay, bx, by):
     """``point_to_side(., a, b)`` over arrays of sides: returns (x, y) -> d.
-    A repeated vertex takes the vertical branch, whose foot is that vertex."""
+    A repeated vertex takes the vertical branch, whose foot is that vertex;
+    that branch runs only for a batch that holds a vertical side."""
     vertical, cx, r = _circle(ax, ay, bx, by)
     ta, tb = (
         np.where(x > 0.0, y / (1.0 + x), (1.0 - x) / y)
         for x, y in (((ax - cx) / r, ay / r), ((bx - cx) / r, by / r))
     )
+    t_lo, t_hi, two_r = np.minimum(ta, tb), np.maximum(ta, tb), 2.0 * r
+    any_vertical = vertical.any()
+    y_lo, y_hi = np.minimum(ay, by), np.maximum(ay, by)
 
     def dist(x, y):
-        foot = np.clip(np.hypot(x - ax, y), np.minimum(ay, by), np.maximum(ay, by))
-        u, v = (x - cx) / r, y / r
+        dx = x - cx
+        u, v = dx / r, y / r
         foot_tan = np.sqrt(((u - 1.0) ** 2 + v * v) / ((u + 1.0) ** 2 + v * v))
-        on_arc = (np.minimum(ta, tb) <= foot_tan) & (foot_tan <= np.maximum(ta, tb))
-        h = np.hypot(x - cx, y)
-        arc = np.arcsinh(np.abs(h - r) * (h + r) / (2.0 * r * y))
+        on_arc = (t_lo <= foot_tan) & (foot_tan <= t_hi)
+        h = np.hypot(dx, y)
+        arc = np.arcsinh(np.abs(h - r) * (h + r) / (two_r * y))
         ends = np.minimum(_dist(x, y, ax, ay), _dist(x, y, bx, by))
-        return np.where(vertical, _dist(x, y, ax, foot), np.where(on_arc, arc, ends))
+        d = np.where(on_arc, arc, ends)
+        if not any_vertical:
+            return d
+        foot = np.clip(np.hypot(x - ax, y), y_lo, y_hi)
+        return np.where(vertical, _dist(x, y, ax, foot), d)
 
     return dist
 
@@ -194,7 +209,10 @@ def _golden_max(f, a, b):
 
 def _thinness_batch(triangles: list, samples_per_side: int) -> list[HTriangleReport]:
     """``h_triangle_thinness`` of each triangle.  Arrays hold one entry per
-    side (side k runs from vertex k to k + 1); samples go a column at a time."""
+    side (side k runs from vertex k to k + 1); samples go _BLOCK columns at
+    a time."""
+    if not isinstance(samples_per_side, (int, np.integer)):
+        raise ValueError(f"samples_per_side must be an integer, got {samples_per_side!r}")
     if samples_per_side < 2:
         raise ValueError("need at least 2 samples per side")
     xy = np.array([[(p.x, p.y) for p in tri] for tri in triangles]).transpose(1, 0, 2)
@@ -208,10 +226,10 @@ def _thinness_batch(triangles: list, samples_per_side: int) -> list[HTriangleRep
             return np.minimum(to_vw(x, y), to_wu(x, y))
 
         ts = np.arange(samples_per_side) / (samples_per_side - 1)
-        best, i = gap(ts[0]), np.zeros(len(ux), dtype=int)
-        for k in range(1, samples_per_side):
-            val = gap(ts[k])
-            best, i = np.maximum(val, best), np.where(val > best, k, i)  # first maximum
+        best, i = np.full(len(ux), -np.inf), np.zeros(len(ux), dtype=int)
+        for k0 in range(0, samples_per_side, _BLOCK):
+            for k, val in enumerate(gap(ts[k0 : k0 + _BLOCK, None]), k0):
+                best, i = np.maximum(val, best), np.where(val > best, k, i)  # first maximum
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, samples_per_side - 1)]
         t_ref, val_ref = _golden_max(gap, lo, hi)
     t_ref = np.where(best > val_ref, ts[i], t_ref).reshape(3, -1)

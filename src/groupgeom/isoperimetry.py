@@ -363,7 +363,10 @@ def dehn_function(
     presentation: Presentation, n_max: int, caps: Optional[AreaCaps] = None
 ) -> DehnTable:
     """Worst-case area over identity words of length <= n, per even n;
-    raises ``UndecidedError`` when the caps or the state budget run out.
+    raises ``UndecidedError`` when the caps or the state budget run out,
+    or when the radius-(n // 2) ball that enumerates the identity words
+    cannot tell two of its elements apart (a presentation without an
+    exact equality test, such as a finite group's).
 
     Area is invariant under cyclic permutation and inversion (both give
     the same van Kampen diagram), so one search runs per class: on its

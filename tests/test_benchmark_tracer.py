@@ -8,7 +8,7 @@ small traced round of the calls the benchmark's layer metrics rest on.
 
 from pathlib import Path
 
-from groupgeom import cayley, oracle
+from groupgeom import cayley, hplane, oracle
 from groupgeom.oracle import Tristate
 from groupgeom.words import Presentation, parse_word, standard_presentation
 
@@ -43,3 +43,21 @@ def test_traced_round_nests_the_layer_spans(monkeypatch):
     assert {(oracle, "dehn_reduce"), (oracle, "words_equal"), (cayley, "words_equal")} <= owners
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, f"{attr} is still wrapped"
+
+
+def test_traced_survey_counts_the_scalar_recompute(monkeypatch):
+    # Each triangle's winner is recomputed with one h_geodesic_point and
+    # two point_to_side calls; the hplane layer metrics count those calls.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    originals = hplane.point_to_side, hplane.h_geodesic_point
+    tracer = tracing.Tracer()
+    with tracing.traced_round(tracer):
+        hplane.verify_thinness_bound(4, seed=1, diameter=25.0, samples_per_side=16)
+
+    geodesic_points = tracer.counts["hplane.geodesic_point"]
+    assert tracer.counts["hplane.point_to_side"] > 0
+    assert tracer.counts["hplane.point_to_side"] == 2 * geodesic_points
+    assert hplane.point_to_side is originals[0]
+    assert hplane.h_geodesic_point is originals[1]

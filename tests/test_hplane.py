@@ -403,3 +403,188 @@ def test_survey_rejects_too_few_samples():
         verify_thinness_bound(3, seed=1, samples_per_side=1)
     with pytest.raises(ValueError, match="at least 2 samples"):
         h_triangle_thinness(HPoint(0, 1), HPoint(1, 1), HPoint(0, 2), 1)
+
+
+def test_survey_memory_does_not_grow_with_samples():
+    # The coarse samples go a few columns at a time, so more samples per
+    # side cost passes, not memory.
+    triangles = list(random_triangles(256, 3, 25.0))
+    peaks = []
+    for samples in (48, 480):
+        tracemalloc.start()
+        try:
+            hplane._thinness_batch(triangles, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+@pytest.mark.parametrize("samples", [2.5, 48.0, "48", None])
+def test_survey_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="samples_per_side"):
+        h_triangle_thinness(HPoint(0, 1), HPoint(1, 1), HPoint(0, 2), samples)
+    with pytest.raises(ValueError, match="samples_per_side"):
+        verify_thinness_bound(3, seed=1, samples_per_side=samples)
+
+
+def test_survey_accepts_numpy_integer_samples():
+    assert verify_thinness_bound(3, seed=1, samples_per_side=np.int64(16)) == (
+        verify_thinness_bound(3, seed=1, samples_per_side=16)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the array path against its earlier form, which evaluated the vertical
+# formula for every side and took the coarse samples one column at a time:
+# the reports must stay bit-identical
+
+
+def _reference_geodesic(px, py, qx, qy):
+    vertical, cx, _ = hplane._circle(px, py, qx, qy)
+    s = np.where(qx > px, 1.0, -1.0)
+    half = np.arctan2(s * py, s * (cx - px)) / 2.0
+    cs, sn = np.cos(half), np.sin(half)
+    length = hplane._dist(px, py, qx, qy)
+
+    def point(t):
+        zy = np.exp(t * length)
+        num_y, den_y = zy * cs, zy * sn
+        den = cs * cs + den_y * den_y
+        x = py * ((-sn * cs + num_y * den_y) / den) + px
+        y = py * ((num_y * cs + sn * den_y) / den)
+        return np.where(vertical, px, x), np.where(vertical, py * (qy / py) ** t, y)
+
+    return point
+
+
+def _reference_to_segment(ax, ay, bx, by):
+    vertical, cx, r = hplane._circle(ax, ay, bx, by)
+    ta, tb = (
+        np.where(x > 0.0, y / (1.0 + x), (1.0 - x) / y)
+        for x, y in (((ax - cx) / r, ay / r), ((bx - cx) / r, by / r))
+    )
+    def dist(x, y):
+        foot = np.clip(np.hypot(x - ax, y), np.minimum(ay, by), np.maximum(ay, by))
+        u, v = (x - cx) / r, y / r
+        foot_tan = np.sqrt(((u - 1.0) ** 2 + v * v) / ((u + 1.0) ** 2 + v * v))
+        on_arc = (np.minimum(ta, tb) <= foot_tan) & (foot_tan <= np.maximum(ta, tb))
+        h = np.hypot(x - cx, y)
+        arc = np.arcsinh(np.abs(h - r) * (h + r) / (2.0 * r * y))
+        ends = np.minimum(hplane._dist(x, y, ax, ay), hplane._dist(x, y, bx, by))
+        return np.where(vertical, hplane._dist(x, y, ax, foot), np.where(on_arc, arc, ends))
+
+    return dist
+
+
+def _reference_golden_max(f, a, b):
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+    return np.where(fc >= fd, c, d), np.maximum(fc, fd)
+
+
+def reference_batch(triangles, samples_per_side):
+    """(thinness, maximizing_point) of each triangle, as the earlier form
+    of ``hplane._thinness_batch`` computed them."""
+    xy = np.array([[(p.x, p.y) for p in tri] for tri in triangles]).transpose(1, 0, 2)
+    (ux, uy), (vx, vy), (wx, wy) = (np.roll(xy, -k, axis=0).reshape(-1, 2).T for k in range(3))
+    with np.errstate(all="ignore"):
+        point = _reference_geodesic(ux, uy, vx, vy)
+        to_vw = _reference_to_segment(vx, vy, wx, wy)
+        to_wu = _reference_to_segment(wx, wy, ux, uy)
+
+        def gap(t):
+            x, y = point(t)
+            return np.minimum(to_vw(x, y), to_wu(x, y))
+
+        ts = np.arange(samples_per_side) / (samples_per_side - 1)
+        best, i = gap(ts[0]), np.zeros(len(ux), dtype=int)
+        for k in range(1, samples_per_side):
+            val = gap(ts[k])
+            best, i = np.maximum(val, best), np.where(val > best, k, i)
+        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, samples_per_side - 1)]
+        t_ref, val_ref = _reference_golden_max(gap, lo, hi)
+    t_ref = np.where(best > val_ref, ts[i], t_ref).reshape(3, -1)
+    val_ref = np.where((ux == vx) & (uy == vy), -np.inf, np.maximum(best, val_ref)).reshape(3, -1)
+    out = []
+    for j, (k, tri) in enumerate(zip(np.argmax(val_ref, axis=0), triangles)):
+        thinness, at = 0.0, tri[0]
+        if val_ref[k, j] > 0.0:
+            u, v, w = tri[k], tri[k - 2], tri[k - 1]
+            p = h_geodesic_point(u, v, float(t_ref[k, j]))
+            value = min(point_to_side(p, v, w), point_to_side(p, w, u))
+            if value > 0.0:
+                thinness, at = value, p
+        out.append((thinness, at))
+    return out
+
+
+def assert_identical_to_reference(triangles, samples):
+    reports = hplane._thinness_batch(triangles, samples)
+    assert [(r.thinness, r.maximizing_point) for r in reports] == reference_batch(
+        triangles, samples
+    )
+
+
+SAMPLES = [2, 3, 16, 48, 64]
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_batch_identical_to_reference_on_hand_made(samples):
+    triangles = [HAND_MADE[name] for name in sorted(HAND_MADE)]
+    assert_identical_to_reference(triangles, samples)  # one batch
+    for triangle in triangles:  # and one triangle at a time
+        assert_identical_to_reference([triangle], samples)
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+@pytest.mark.parametrize("diameter", [0.5, 4.0, 25.0, 60.0])
+def test_batch_identical_to_reference_on_random_triangles(diameter, samples):
+    assert_identical_to_reference(list(random_triangles(40, 17, diameter)), samples)
+
+
+def _mixed_batch(seed, diameter):
+    """Random triangles, every third given a vertical side and every fifth
+    a repeated vertex."""
+    triangles = []
+    for k, (a, b, c) in enumerate(random_triangles(45, seed, diameter)):
+        if k % 3 == 0:
+            b = HPoint(a.x, b.y + 0.5)
+        if k % 5 == 0:
+            c = a
+        triangles.append((a, b, c))
+    return triangles
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+@pytest.mark.parametrize("diameter", [0.5, 12.0, 60.0])
+def test_batch_identical_to_reference_with_vertical_sides(diameter, samples):
+    triangles = _mixed_batch(5, diameter)
+    assert any(a.x == b.x and a.y != b.y for a, b, _ in triangles)
+    assert_identical_to_reference(triangles, samples)
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_batch_identical_to_reference_with_repeated_vertices(samples):
+    repeated = [(a, a, c) for a, _, c in random_triangles(20, 8, 12.0)]
+    repeated += [(a, b, b) for a, b, _ in random_triangles(20, 9, 12.0)]
+    repeated.append((HPoint(0.3, 2), HPoint(0.3, 2), HPoint(0.3, 2)))
+    assert_identical_to_reference(repeated, samples)
+
+
+@pytest.mark.parametrize("diameter", sorted(CRITERION_8_SCALAR))
+def test_criterion_8_surveys_identical_to_reference(diameter):
+    triangles = list(random_triangles(1000, 7, diameter))
+    worst = max(
+        thinness
+        for start in range(0, len(triangles), _CHUNK)
+        for thinness, _ in reference_batch(triangles[start : start + _CHUNK], 48)
+    )
+    assert verify_thinness_bound(1000, seed=7, diameter=diameter).max_thinness == worst

@@ -244,6 +244,14 @@ def test_dehn_function_names_the_first_undecided_word(caps, length):
         dehn_function(ZZ, 8, caps)
 
 
+def test_dehn_function_undecided_while_building_its_ball():
+    # A finite group (order 6) whose presentation has no exact equality
+    # test: the ball that enumerates the identity words stops first.
+    s3 = Presentation(("a", "b"), ((1, 1, 1), (2, 2), (1, 2, 1, 2)))
+    with pytest.raises(UndecidedError, match="Unknown while deduplicating elements"):
+        dehn_function(s3, 8)
+
+
 @pytest.mark.parametrize(
     "pres, n_max, caps", [(ZZ, -1, None), (ZZ, -5, None), (F2, -1, AreaCaps(16, 0))]
 )
