@@ -21,7 +21,7 @@ from .hplane import THINNESS_BOUND, verify_thinness_bound
 from .isoperimetry import ORACLE_CAPS, AreaCaps, area, default_caps, dehn_function, fit_growth
 from .oracle import Tristate, UndecidedError, canonical_form, words_equal
 from .qi import compare_metrics
-from .thinness import delta_estimate
+from .thinness import check_delta_arguments, delta_estimate
 from .words import (
     ParseError,
     Presentation,
@@ -204,8 +204,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "delta":
-        if args.sample is not None and args.seed is None:
-            raise ValueError("--sample needs an explicit --seed")
+        check_delta_arguments(args.radius, args.sample, args.seed)
         ball = build_ball(pres, args.radius)
         report = delta_estimate(ball, sample_count=args.sample, seed=args.seed)
         wit = report.witness

@@ -162,6 +162,16 @@ def _triples(ball: CayleyBall, D: np.ndarray) -> np.ndarray:
     return np.column_stack((i, j, k, longest))[np.argsort(-longest, kind="stable")]
 
 
+def check_delta_arguments(radius: int, sample_count: Optional[int], seed: Optional[int]) -> None:
+    """Raise the ``ValueError`` :func:`delta_estimate` raises on these arguments."""
+    if radius < 2:
+        raise ValueError("delta estimation needs radius >= 2")
+    if sample_count is not None and seed is None:
+        raise ValueError("random sampling needs an explicit seed")
+    if sample_count is not None and sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+
+
 def delta_estimate(
     ball: CayleyBall,
     sample_count: Optional[int] = None,
@@ -180,12 +190,7 @@ def delta_estimate(
     side.  Raises ``MemoryError`` before allocating when the ball's n-by-n
     arrays, its triangle list or that table cannot fit in physical memory.
     """
-    if ball.radius < 2:
-        raise ValueError("delta estimation needs radius >= 2")
-    if sample_count is not None and seed is None:
-        raise ValueError("random sampling needs an explicit seed")
-    if sample_count is not None and sample_count < 1:
-        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    check_delta_arguments(ball.radius, sample_count, seed)
     # D, then the int16 sum and the bool eligibility matrix of _triples (later
     # that matrix and its upper triangle); the triangle list and the side table
     # have guards of their own, and the working set of a chunk is a constant.
@@ -212,7 +217,8 @@ def delta_estimate(
     check_memory(len(keys) * n * dtype.itemsize, f"the side table of a {n}-vertex ball")
     table = np.empty((len(keys), n), dtype=dtype)
     sizes = np.zeros(len(keys), dtype=np.int32)
-    nodes: list = [None] * len(keys)
+    # The nodes of every built side's states, side after side, from start[id].
+    nodes, start, used = np.empty(n, dtype=np.int32), np.zeros(len(keys), dtype=np.intp), 0
     run_end = np.append(np.flatnonzero(np.diff(rows[:, 3])) + 1, len(rows))
     best, first, lo, step, per_side = 0, None, 0, 1, n
     # Chunks stay inside a run of equal longest side.  Sides only shorten
@@ -223,7 +229,7 @@ def delta_estimate(
         missing = np.sort(sides[sizes[sides] == 0], kind="stable")
         missing = missing[np.diff(missing, prepend=-1) != 0]
         a, b = np.divmod(keys[missing], n)
-        size = max(1, _CHUNK_BYTES // per_side)
+        size = max(1, 4 * _CHUNK_BYTES // per_side)
         for s in range(0, len(missing), size):
             side, v, M = _side_dp(ball, D, a[s : s + size], b[s : s + size])
             at = missing[s : s + size]
@@ -232,13 +238,17 @@ def delta_estimate(
             per_side = n * (7 + 2 * int(sizes[at].max()))
             grouped, ends = np.argsort(side, kind="stable"), np.cumsum(sizes[at])
             table[at] = M[grouped[ends - 1]]
-            own = v[grouped].astype(np.int32)
-            for i, start, end in zip(at.tolist(), (ends - sizes[at]).tolist(), ends.tolist()):
-                nodes[i] = own[start:end]
+            if used + len(v) > len(nodes):
+                nodes = np.resize(nodes[:used], used + max(used, len(v)))
+            nodes[used : used + len(v)] = v[grouped]
+            start[at] = used + ends - sizes[at]
+            used += len(v)
         count = sizes[sides]
-        points = np.concatenate([nodes[i] for i in sides.ravel().tolist()])
+        flat, total = count.ravel(), int(count.sum())
+        # Side t's points, nodes[start[t]:], follow the points of the sides before it.
+        points = nodes[np.repeat(start[sides.ravel()] - np.cumsum(flat) + flat, flat) + np.arange(total)]
         # Each (triangle, side, point) against the other two sides' vectors.
-        other = [np.repeat(np.roll(sides, -r, axis=1).ravel() * n, count.ravel()) for r in (1, 2)]
+        other = [np.repeat(np.roll(sides, -r, axis=1).ravel() * n, flat) for r in (1, 2)]
         vals = np.minimum(table.ravel()[other[0] + points], table.ravel()[other[1] + points])
         count = count.sum(axis=1)
         delta = np.maximum.reduceat(vals, np.cumsum(count) - count)
@@ -246,7 +256,7 @@ def delta_estimate(
         if delta[k] > best:
             best, first = int(delta[k]), lo + k
         # Bytes per (triangle, side, point): an int32 point, two positions, values.
-        step = max(1, _CHUNK_BYTES * (hi - lo) // (18 * len(points)))
+        step = max(1, _CHUNK_BYTES * (hi - lo) // (18 * total))
         lo = hi
     witness = None if first is None else triangle_thinness(ball, *rows[first, :3].tolist())[1]
     return ThinnessReport(best, witness, len(rows), policy)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from groupgeom import cli
 from groupgeom.cli import main
 from groupgeom.words import Presentation, format_presentation, standard_presentation
 
@@ -175,6 +176,27 @@ def test_delta_sample_past_the_triple_count_examines_every_triple(surf_file, cap
 
 def test_delta_sample_requires_seed(zz_file, capsys):
     assert main(["delta", "--pres", zz_file, "--radius", "4", "--sample", "5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--radius", "1"], "needs radius >= 2"),
+        (["--radius", "4", "--sample", "0", "--seed", "1"], "sample count must be at least 1"),
+        (["--radius", "4", "--sample", "5"], "needs an explicit seed"),
+    ],
+    ids=["radius", "sample", "seed"],
+)
+def test_delta_refuses_bad_arguments_before_building_the_ball(
+    zz_file, capsys, monkeypatch, args, message
+):
+    def no_ball(*_):
+        raise AssertionError("built the ball")
+
+    monkeypatch.setattr(cli, "build_ball", no_ball)
+    assert main(["delta", "--pres", zz_file, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(

@@ -249,6 +249,39 @@ def test_surface_delta_pins():
     assert delta_estimate(build_ball(SURF2, 4)).delta == 2
 
 
+@pytest.mark.parametrize(
+    "pres, radius, expected",
+    [
+        (
+            ZZ,
+            10,
+            ThinnessReport(
+                5,
+                ThinnessWitness(
+                    (0, 1, 171),
+                    70,
+                    1,
+                    5,
+                    (
+                        (0, 1),
+                        (1, 6, 16, 30, 48, 70, 59, 81, 107, 137, 171),
+                        (0, 2, 8, 18, 32, 51, 75, 103, 135, 171),
+                    ),
+                ),
+                211926,
+                "exhaustive",
+            ),
+        ),
+        (F2, 5, ThinnessReport(0, None, 18764, "exhaustive")),
+    ],
+    ids=["zz-r10", "free2-r5"],
+)
+def test_exhaustive_delta_pins(pres, radius, expected):
+    # Both balls outgrow the first node array several times, and their
+    # chunks read sides built in different batches of the side DP.
+    assert delta_estimate(build_ball(pres, radius)) == expected
+
+
 def test_exhaustive_delta_deterministic():
     r1 = delta_estimate(build_ball(ZZ, 4))
     r2 = delta_estimate(build_ball(ZZ, 4))
@@ -518,14 +551,24 @@ def test_triangle_thinness_matches_reference(index):
         assert triangle_thinness(ball, *tri) == _reference_triangle(ball, tri)
 
 
-@pytest.mark.parametrize("index", range(len(KERNEL_CASES)), ids=KERNEL_IDS)
-def test_distance_matrix_matches_per_vertex_bfs(index):
-    _, pres, r = KERNEL_CASES[index]
-    ball = build_ball(pres, r)
+@pytest.mark.parametrize(
+    "pres, radius",
+    [(pres, r) for _, pres, r in KERNEL_CASES] + [(ZZ, 32)],
+    ids=[*KERNEL_IDS, "zz-r32"],
+)
+def test_distance_matrix_matches_per_vertex_bfs(pres, radius):
+    # zz r = 32 has 2,113 vertices, so its rows are unpacked in two blocks
+    # of 2,048; there the rows at the block edges and 40 seeded rows are checked.
+    ball = build_ball(pres, radius)
     mat = ball.distance_matrix()
-    reference = np.array([ball._bfs(v) for v in range(len(ball))], dtype=np.int16)
+    n = len(ball)
     assert mat.dtype == np.int16
-    assert np.array_equal(mat, reference)
+    assert np.array_equal(mat, mat.T)
+    rows = range(n)
+    if n > 2048:
+        rows = sorted({0, 2047, 2048, n - 1, *random.Random(n).sample(range(n), 40)})
+    for v in rows:
+        assert mat[v].tolist() == ball._bfs(v)
 
 
 def _counting_side_dp(monkeypatch):
@@ -597,20 +640,30 @@ def test_one_triangle_chunks_leave_report_unchanged(monkeypatch, pres, radius, c
     assert calls == [[side] for side in first_use]
 
 
+def test_side_dp_batches_on_surface2_r3(monkeypatch):
+    # A batch holds up to 1 MiB of DP working set: 15 calls build the
+    # sides of the 457-vertex ball.
+    ball = build_ball(SURF2, 3)
+    calls = _counting_side_dp(monkeypatch)
+    assert delta_estimate(ball).witness is None
+    assert len(calls) == 15
+
+
 def test_memory_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(cayley, "physical_memory", lambda: 1_000)
     ball = build_ball(ZZ, 4)
     n = len(ball)
+    matrix = _distance_matrix_bytes(n)
     with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {5 * n * n:,} bytes"):
         delta_estimate(ball)
-    with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {6 * n * n:,} bytes"):
+    with pytest.raises(MemoryError, match=f"{n}-vertex ball needs about {matrix:,} bytes"):
         ball.distance_matrix()
     assert ball._matrix is None
     # The triangle list peaks below 64 bytes a pair or candidate, more than
     # the distance matrix and the side table (a one-byte vector per side) need.
     sides = _distinct_sides(monkeypatch, ball)
     need = _triangle_list_bytes(ball)
-    assert need > max(6 * n * n, sides * n)
+    assert need > max(matrix, sides * n)
     monkeypatch.setattr(cayley, "physical_memory", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"triangle list of a {n}-vertex ball needs about {need:,}"):
         delta_estimate(ball)
@@ -622,11 +675,45 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     ball = build_ball(F2, 6)
     n = len(ball)
     sides, need = _distinct_sides(monkeypatch, ball), _triangle_list_bytes(ball)
-    assert sides * n > max(6 * n * n, need)
-    monkeypatch.setattr(cayley, "physical_memory", lambda: max(6 * n * n, need))
+    # Enough for the estimate's 5n², the distance matrix and the triangle list.
+    enough = max(5 * n * n, _distance_matrix_bytes(n), need)
+    assert sides * n > enough
+    monkeypatch.setattr(cayley, "physical_memory", lambda: enough)
     message = f"side table of a {n}-vertex ball needs about {sides * n:,} bytes"
     with pytest.raises(MemoryError, match=message):
         delta_estimate(ball)
+
+
+def _distance_matrix_bytes(n):
+    """The distance matrix guard's count: the int16 matrix, the bit rows
+    (a byte per eight sources) of the frontier with its empty row, seen,
+    nxt, step and ~seen, and one block of at most 2,048 unpacked rows."""
+    return 2 * n * n + (5 * n + 1) * ((n + 7) // 8) + min(n, 2048) * n
+
+
+@pytest.mark.parametrize(
+    "pres, radius", [(SURF2, 3), (F2, 6), (ZZ, 32)], ids=["surface2-r3", "free2-r6", "zz-r32"]
+)
+def test_distance_matrix_guard_bounds_its_peak(monkeypatch, pres, radius):
+    # Everything the search allocates after its guard, the matrix included,
+    # fits in the bytes the guard states (zz r = 32 unpacks two blocks).
+    ball = build_ball(pres, radius)
+    stated = []
+
+    def measure(need, what):
+        stated.append((need, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(cayley, "check_memory", measure)
+    tracemalloc.start()
+    try:
+        ball.distance_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(need, before)] = stated
+    assert need == _distance_matrix_bytes(len(ball))
+    assert peak - before <= need
 
 
 def _distinct_sides(monkeypatch, ball):
