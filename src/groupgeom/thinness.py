@@ -27,8 +27,8 @@ import numpy as np
 
 from .cayley import CayleyBall, VertexRef, check_memory
 
-# Working bytes of one chunk of triangles, and of one batch of the side DP;
-# a larger budget adds peak memory for little more speed (ROADMAP notes).
+# Working bytes of one chunk of triangles; a batch of the side DP takes four
+# times this.  Larger budgets add peak memory for little more speed (ROADMAP).
 _CHUNK_BYTES = 256 << 10
 
 
