@@ -232,6 +232,8 @@ def build_ball(presentation: Presentation, radius: int) -> CayleyBall:
     Even-length relators make the graph bipartite, so the search stops at
     depth ``radius``, whose unrecorded edges all leave the ball.
     """
+    if not isinstance(radius, (int, np.integer)):
+        raise ValueError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     index = ElementIndex(presentation)

@@ -252,12 +252,9 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "fit":
-        if args.csv:
-            lines = Path(args.csv).read_text().splitlines()
-        else:
-            lines = sys.stdin.read().splitlines()
+        text = Path(args.csv).read_text() if args.csv else sys.stdin.read()
         rows = []
-        for line in lines:
+        for line in text.splitlines():
             parts = [p.strip() for p in line.split(",")]
             try:
                 float(parts[0])

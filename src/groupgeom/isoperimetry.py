@@ -202,11 +202,11 @@ def _neighbors(word: Word, members, max_length: int):
     this move does, so that word was yielded already.  What is left
     yields each neighbour once, at its first (pos, member).
 
-    ``word`` and u^-1 are freely reduced, so letters cancel only at the
-    two seams, and reach across from the left seam to the right once u^-1
-    is used up.  The cut points are found by comparing letters and the
-    reduced length is checked before ``word[:i] + u^-1[a:b] + word[j:]``
-    is built.
+    ``word`` and u^-1 are freely reduced, u^-1 starts with ``-rho[-1]``
+    and the skip keeps ``rho[-1]`` out of ``word[pos - 1]``, so letters
+    cancel only at the right seam, and across once u^-1 is used up.  The
+    cut points are found by comparing letters and the reduced length is
+    checked before ``word[:i] + u^-1[:b] + word[j:]`` is built.
     """
     n = len(word)
     least = [max(0, (n + len(rho) - max_length - 1) // 2) for rho, _ in members]
@@ -219,20 +219,16 @@ def _neighbors(word: Word, members, max_length: int):
             if cut and (cut > len(rho) or word[pos : pos + cut] != rho[:cut]):
                 continue
             repl = suffixes[cut]
-            i, j = pos, pos + cut
-            a, b = 0, len(repl)
-            while a < b and i and word[i - 1] == -repl[a]:
-                i -= 1
-                a += 1
-            while a < b and j < n and repl[b - 1] == -word[j]:
+            i, j, b = pos, pos + cut, len(repl)
+            while b and j < n and repl[b - 1] == -word[j]:
                 b -= 1
                 j += 1
-            if a == b:
+            if not b:
                 while i and j < n and word[i - 1] == -word[j]:
                     i -= 1
                     j += 1
-            if i + b - a + n - j <= max_length:
-                yield pos, cut, k, word[:i] + repl[a:b] + word[j:]
+            if i + b + n - j <= max_length:
+                yield pos, cut, k, word[:i] + repl[:b] + word[j:]
 
 
 def area(presentation: Presentation, word: Word, caps: Optional[AreaCaps] = None) -> AreaResult:

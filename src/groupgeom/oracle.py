@@ -69,7 +69,6 @@ def _lattice_basis(presentation: Presentation):
                 q = c[coord] // piv[coord]
                 for k in range(coord, rank):
                     c[k] -= q * piv[k]
-        nz = [c for c in work if c[coord] != 0]
         if nz:
             basis.append((coord, tuple(nz[0])))
             work.remove(nz[0])

@@ -2,10 +2,10 @@
 
 Both metrics are measured from the identity by breadth-first search over
 right multiplication by the generating words; elements are identified
-across the two searches through a shared element table.  The returned
-constants are the smallest on a grid (additive constant first, then the
-multiplicative one in quarter steps) that sandwich one metric by the
-other with no violations; all comparisons use exact integer arithmetic.
+across the two searches through a shared element table, so only the
+identity is at distance 0 in either metric and the additive constant is
+0.  The multiplicative one is the least quarter >= 1 that sandwiches one
+metric by the other with no violations, in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -53,20 +53,13 @@ def _satisfies(pairs, k: int, c: int) -> bool:
     return True
 
 
-def _minimal_quarters(pairs, c: int) -> Optional[int]:
-    """Least k with lambda = k/4 >= 1 satisfying both inequalities, if any."""
+def _minimal_quarters(pairs) -> int:
+    """Least k >= 4 with lambda = k/4 satisfying both inequalities at c = 0:
+    ceil(4 max / min) over the pairs, bar the identity's (0, 0)."""
     k = 4
     for ds, dt in pairs:
-        if dt + c == 0:
-            if ds > 0:
-                return None
-        else:
-            k = max(k, -(-4 * ds // (dt + c)))
-        if ds == 0:
-            if dt > c:
-                return None
-        else:
-            k = max(k, -(-(4 * dt - 4 * c) // ds))
+        if ds:
+            k = max(k, -(-4 * ds // dt), -(-4 * dt // ds))
     return k
 
 
@@ -98,11 +91,7 @@ def compare_metrics(
         if any(index.find_or_add(w) not in dist for w in gens):
             raise ValueError(f"a word of one set is not within radius {radius} of the other: the "
                              "sets may not generate the same group, or the radius is too small")
-    common = sorted(set(da) & set(db))
-    pairs = [(da[e], db[e]) for e in common]
-    for c in range(0, max((max(ds, dt) for ds, dt in pairs), default=0) + 1):
-        k = _minimal_quarters(pairs, c)
-        if k is not None:
-            assert _satisfies(pairs, k, c)
-            return QIReport(k / 4.0, c, len(common))
-    return QIReport(1.0, 0, len(common))  # only the identity seen
+    pairs = [(da[e], db[e]) for e in da.keys() & db.keys()]
+    k = _minimal_quarters(pairs)
+    assert _satisfies(pairs, k, 0)
+    return QIReport(k / 4.0, 0, len(pairs))

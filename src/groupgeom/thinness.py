@@ -95,7 +95,7 @@ def _descend(ball: CayleyBall, v: int, to: int, D: np.ndarray, key=None) -> list
     return path
 
 
-_SIDES = ((0, 1, 2), (1, 2, 0), (0, 2, 1))
+_SIDES = ((0, 1), (1, 2), (0, 2))
 
 
 def triangle_thinness(
@@ -111,7 +111,7 @@ def triangle_thinness(
         if not ball.unclipped(u, w):
             raise ValueError(f"pair {u},{w} may have geodesics clipped by the ball boundary")
     D = ball.distance_matrix()
-    ends = [(tri[ia], tri[ib]) for ia, ib, _ in _SIDES]
+    ends = [(tri[ia], tri[ib]) for ia, ib in _SIDES]
     side, v, M = _side_dp(ball, D, *np.array(ends).T)
     # Each side's states, ordered by distance from its first corner.
     states = [np.flatnonzero(side == s) for s in range(3)]
@@ -168,6 +168,8 @@ def check_delta_arguments(radius: int, sample_count: Optional[int], seed: Option
         raise ValueError("delta estimation needs radius >= 2")
     if sample_count is not None and seed is None:
         raise ValueError("random sampling needs an explicit seed")
+    if sample_count is not None and not isinstance(sample_count, (int, np.integer)):
+        raise ValueError(f"sample count must be an integer, got {sample_count!r}")
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
 
@@ -183,12 +185,12 @@ def delta_estimate(
     for a seeded random subset of those triples, all of them once the
     count reaches theirs (its maximum can only undershoot the exhaustive
     one).
-    Triangles that provably cannot beat the running maximum are skipped:
-    every point on a side is within half that side's length of a shared
-    corner, so thinness never exceeds half the longest side.  Each side's
-    adversary vector is built once, into a table with a row per distinct
-    side.  Raises ``MemoryError`` before allocating when the ball's n-by-n
-    arrays, its triangle list or that table cannot fit in physical memory.
+    Triangles that provably cannot beat the running maximum are skipped: a
+    point on a side is within half that side's length of a shared corner,
+    so thinness is at most half the longest side, rounded down.  Each
+    side's adversary vector is built once, into a table with a row per
+    distinct side.  Raises ``MemoryError`` before allocating when the n-by-n
+    arrays, the triangle list or that table cannot fit in physical memory.
     """
     check_delta_arguments(ball.radius, sample_count, seed)
     # D, then the int16 sum and the bool eligibility matrix of _triples (later
@@ -221,9 +223,9 @@ def delta_estimate(
     nodes, start, used = np.empty(n, dtype=np.int32), np.zeros(len(keys), dtype=np.intp), 0
     run_end = np.append(np.flatnonzero(np.diff(rows[:, 3])) + 1, len(rows))
     best, first, lo, step, per_side = 0, None, 0, 1, n
-    # Chunks stay inside a run of equal longest side.  Sides only shorten
-    # from here and best only rises: no later row can win.
-    while lo < len(rows) and (rows[lo, 3] + 1) // 2 >= best:
+    # Chunks stay inside a run of equal longest side.  Sides only shorten and
+    # best only rises: once a row's bound only ties best, no row can win.
+    while lo < len(rows) and rows[lo, 3] // 2 > best:
         hi = min(lo + step, int(run_end[np.searchsorted(run_end, lo, side="right")]))
         sides = ids[lo:hi]
         missing = np.sort(sides[sizes[sides] == 0], kind="stable")

@@ -34,7 +34,7 @@ def reduce_onto(out: list[int], letters: Iterable[int]) -> tuple[int, int]:
     """Append ``letters`` to ``out``, deleting adjacent inverse pairs as they meet.
 
     Products and Dehn steps reduce through this loop; the area search
-    finds its cancellations at the two seams of a move instead.  A freely
+    finds its cancellations at the right seam of a move instead.  A freely
     reduced ``out`` stays freely reduced.  Returns the number of deleted
     pairs and the shortest length ``out`` reached, which is how far the
     cancellation cascaded back into the letters it held before.

@@ -55,6 +55,8 @@ def test_inapplicable_pairs_rejected():
         WordSource("random")  # no seed
     with pytest.raises(ValueError):
         WordSource("fuzz")
+    with pytest.raises(ValueError, match="unknown solver 'magic'"):
+        run_bench(ZZ, "magic", [4], WordSource("worst"))
 
 
 @pytest.mark.parametrize("sizes", [[], [-4], [4, -1]])

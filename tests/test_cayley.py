@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +124,35 @@ def test_word_outside_ball_raises():
     ball = build_ball(ZZ, 2)
     with pytest.raises(ValueError):
         ball.vertex_of(parse_word("aaa", ZZ))
+
+
+@pytest.mark.parametrize("ref", [-1, 13], ids=["negative", "past-the-end"])
+def test_vertex_index_out_of_range_raises(ref):
+    ball = build_ball(ZZ, 2)
+    assert len(ball) == 13
+    with pytest.raises(ValueError, match=f"vertex index {ref} out of range"):
+        ball.distances_from(ref)
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        (-1, "radius must be nonnegative"),
+        (2.5, "radius must be an integer, got 2.5"),
+        (3.0, "radius must be an integer, got 3.0"),
+        ("2", "radius must be an integer, got '2'"),
+    ],
+    ids=["negative", "fractional", "integral-float", "text"],
+)
+def test_build_ball_rejects_a_bad_radius(radius, message):
+    with pytest.raises(ValueError, match=message):
+        build_ball(ZZ, radius)
+
+
+def test_build_ball_accepts_a_numpy_integer_radius():
+    ball, expected = build_ball(ZZ, np.int64(3)), build_ball(ZZ, 3)
+    assert (ball.vertices, ball.dist, ball.adjacency) == (expected.vertices, expected.dist, expected.adjacency)
+    assert ball.radius == 3
 
 
 def test_geodesics_unique_in_tree():

@@ -1,3 +1,4 @@
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -121,6 +122,12 @@ def test_dehn_function_fit_pipeline(zz_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("quadratic")
 
 
+def test_fit_reads_stdin_without_a_path(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n,value\n4,1\n6,2\n8,4\n"))
+    assert main(["fit"]) == 0
+    assert capsys.readouterr().out.startswith("quadratic")
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -240,12 +247,13 @@ def test_delta_refuses_bad_arguments_before_building_the_ball(
             "generating sets must be nonempty",
         ),
         (["qi", "--pres", "ZZ", "--gens-b", "a", "--radius", "3"], "same group"),
+        (["qi", "--pres", "ZZ", "--gens-b", "a,b", "--radius", "-1"], "radius must be nonnegative"),
     ],
     ids=[
         "sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size",
         "area-max-area", "area-max-len", "dehn-function-max-area", "dehn-function-n",
         "dehn-function-n-past-length-cap", "dehn-function-n-free", "equal-max-area",
-        "qi-empty-b", "qi-empty-a", "qi-blank-a", "qi-subgroup",
+        "qi-empty-b", "qi-empty-a", "qi-blank-a", "qi-subgroup", "qi-negative-radius",
     ],
 )
 def test_out_of_range_counts_are_error_exits(zz_file, f2_file, capsys, args, message):

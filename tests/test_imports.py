@@ -94,6 +94,16 @@ def test_detector_flags_a_private_name_kept_only_for_tests():
     assert _unreferenced_private_names(sources) == ["thinness.py: _adversary_path (line 8)"]
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_detector_flags_an_unused_private_constant(path):
+    # Module constants such as thinness._SIDES and hplane._CHUNK are checked
+    # like functions: an unused one appended to any module is reported.
+    sources = {p.name: p.read_text() for p in SOURCES}
+    lines = sources[path.name].count("\n")
+    sources[path.name] += "\n_X = 1\n"
+    assert _unreferenced_private_names(sources) == [f"{path.name}: _X (line {lines + 2})"]
+
+
 # The family tag may name a file's construction (words.py) and give the
 # commuting pair its normal form.  Every other strategy follows from the
 # relators, so a new switch on the tag anywhere else is a regression.

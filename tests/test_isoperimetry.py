@@ -623,6 +623,22 @@ def test_incremental_winding_mass_matches_the_built_word(name, data):
 
 
 @pytest.mark.parametrize("name", _DIFFERENTIAL_PRESENTATIONS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kept_moves_never_cancel_at_the_left_seam(name, data):
+    # u^-1 starts with -rho[-1], and the move is skipped where word[pos - 1]
+    # is rho[-1], so letters of a kept move cancel only at the right seam.
+    presentation, max_area = _DIFFERENTIAL_PRESENTATIONS[name]
+    word, caps = data.draw(_area_inputs(presentation, max_area))
+    word = free_reduce(word)
+    relators = symmetrize(presentation)
+    members = tuple(zip(relators.members, relators.inverted_suffixes))
+    for pos, cut, k, _ in _neighbors(word, members, caps.max_intermediate_length):
+        repl = members[k][1][cut]
+        assert not (pos and repl and word[pos - 1] == -repl[0]), (word, pos, cut, k)
+
+
+@pytest.mark.parametrize("name", _DIFFERENTIAL_PRESENTATIONS)
 def test_pairing_form_scales_match_the_reference(name):
     presentation, _ = _DIFFERENTIAL_PRESENTATIONS[name]
     forms = [(x, y, scale) for x, y, scale, _ in _pairing_forms(presentation)]

@@ -254,6 +254,12 @@ def test_exhaustive_identity_words_families():
     assert len(zz_words) == len(brute) == 361
 
 
+@pytest.mark.parametrize("insertions, length", [(-1, 8), (2, -1)], ids=["insertions", "length"])
+def test_generate_rejects_negative_budgets(insertions, length):
+    with pytest.raises(ValueError, match="budgets must be nonnegative"):
+        generate_null_homotopic(ZZ, insertions, length)
+
+
 def test_exhaustive_identity_words_rejects_negative_length():
     for pres in (F2, ZZ):
         with pytest.raises(ValueError, match="budgets must be nonnegative"):

@@ -329,6 +329,59 @@ def test_parse_presentation_errors_carry_position():
         parse_presentation("rels: ab\n")
 
 
+def test_parse_presentation_skips_comments_and_blank_lines():
+    text = "# untagged Z^2\n\ngens: a b\n   \n  # the commutator\nrels: abAB\n"
+    assert parse_presentation(text) == parse_presentation("gens: a b\nrels: abAB\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("# c\n\ngens: a b\n\nrels: axb\n", 5, 2, "invalid word character 'x'"),
+        ("gens: a b\nabAB\n", 2, 1, "expected 'gens:', 'rels:' or 'family:'"),
+        ("gens: a b\ngens: a\n", 2, 1, "duplicate gens line"),
+        ("gens:   \n", 1, 6, "empty generator list"),
+        ("gens: a B\n", 1, 1, "generator 'B' is not a lowercase letter"),
+        ("gens: a b\nrels: abAB\nfamily: zz\nfamily: zz\n", 4, 1, "duplicate family line"),
+        ("gens: a b c d\nrels: abABcdCD\nfamily: surface two\n", 3, 1, "bad family declaration"),
+        ("gens: a b\nrel: abAB\n", 2, 1, "unknown directive 'rel'"),
+        ("gens: a b\nrels: abAB\nfamily: surface 1\n", 3, 1, "surface family needs genus >= 2"),
+        ("rels: ab\n", 1, 1, "missing gens line"),
+    ],
+    ids=[
+        "after-comments", "no-colon", "duplicate-gens", "empty-gens", "bad-name",
+        "duplicate-family", "non-integer-genus", "unknown-directive", "genus-1", "no-gens",
+    ],
+)
+def test_parse_presentation_errors_name_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"{line}:{column}: ")
+
+
+@pytest.mark.parametrize(
+    "generators, relators, message",
+    [
+        ((), (), "at least one generator"),
+        (("a", "b", "a"), (), "duplicate generator names"),
+        (("a", "b"), ((1, 3),), "relator letter 3 outside alphabet of size 2"),
+        (("a", "b"), ((0, 1),), "relator letter 0 outside alphabet of size 2"),
+    ],
+    ids=["no-generators", "duplicate-names", "letter-past-rank", "letter-zero"],
+)
+def test_presentation_rejects_bad_fields(generators, relators, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation(generators, relators)
+
+
+@pytest.mark.parametrize("family, param", [("free", 27), ("surface", 14)])
+def test_standard_presentation_needs_at_most_26_letters(family, param):
+    with pytest.raises(ValueError, match="at most 26 generators"):
+        standard_presentation(family, param)
+    assert standard_presentation(family, param - 1).rank == 26
+
+
 def test_shortlex_order():
     words = [w(t) for t in ("ba", "1", "ab", "a", "aA"[:1])]
     ordered = sorted(set(words), key=shortlex_key)
