@@ -252,9 +252,12 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "fit":
-        text = Path(args.csv).read_text() if args.csv else sys.stdin.read()
+        if args.csv:
+            lines = Path(args.csv).read_text().splitlines()
+        else:
+            lines = sys.stdin.read().splitlines()
         rows = []
-        for line in text.splitlines():
+        for line in lines:
             parts = [p.strip() for p in line.split(",")]
             try:
                 float(parts[0])

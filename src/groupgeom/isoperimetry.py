@@ -18,6 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .oracle import UndecidedError, abelian_residue, exponent_vector
 from .words import (
     EMPTY,
@@ -321,6 +323,8 @@ def _closed_reduced_words(presentation: Presentation, n_max: int):
     suffices.  Without relators the Cayley graph is a tree and has none."""
     from .cayley import build_ball
 
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"word length must be an integer, got {n_max!r}")
     if not presentation.relators:
         return []
     ball = build_ball(presentation, n_max // 2)

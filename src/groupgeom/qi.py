@@ -43,12 +43,12 @@ def _metric_bfs(
     return dist
 
 
-def _satisfies(pairs, k: int, c: int) -> bool:
-    # lambda = k / 4; both inequalities cleared of division:
-    #   (1/lam) dS - c <= dT   <=>   4 dS <= k (dT + c)
-    #   dT <= lam dS + c       <=>   4 dT <= k dS + 4 c
+def _satisfies(pairs, k: int) -> bool:
+    # lambda = k / 4 and c = 0; both inequalities cleared of division:
+    #   (1/lam) dS <= dT   <=>   4 dS <= k dT
+    #   dT <= lam dS       <=>   4 dT <= k dS
     for ds, dt in pairs:
-        if 4 * ds > k * (dt + c) or 4 * dt > k * ds + 4 * c:
+        if 4 * ds > k * dt or 4 * dt > k * ds:
             return False
     return True
 
@@ -93,5 +93,5 @@ def compare_metrics(
                              "sets may not generate the same group, or the radius is too small")
     pairs = [(da[e], db[e]) for e in da.keys() & db.keys()]
     k = _minimal_quarters(pairs)
-    assert _satisfies(pairs, k, 0)
+    assert _satisfies(pairs, k)
     return QIReport(k / 4.0, 0, len(pairs))

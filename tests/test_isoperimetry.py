@@ -8,6 +8,7 @@ from collections import deque
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,6 +259,14 @@ def test_dehn_function_undecided_while_building_its_ball():
 def test_dehn_function_rejects_negative_length(pres, n_max, caps):
     with pytest.raises(ValueError, match="word length must be nonnegative"):
         dehn_function(pres, n_max, caps)
+
+
+@pytest.mark.parametrize("pres, n_max", [(ZZ, 4.5), (ZZ, 4.0), (F2, 4.0)])
+def test_dehn_function_rejects_non_integer_length(pres, n_max):
+    # Refused as the length given, not as the radius n_max // 2 it implies.
+    with pytest.raises(ValueError, match=f"word length must be an integer, got {n_max}"):
+        dehn_function(pres, n_max)
+    assert dehn_function(pres, np.int64(4)) == dehn_function(pres, 4)
 
 
 _BLIND_SEARCHES = textwrap.dedent(

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -265,6 +266,14 @@ def test_exhaustive_identity_words_rejects_negative_length():
         with pytest.raises(ValueError, match="budgets must be nonnegative"):
             exhaustive_identity_words(pres, -1)
     assert exhaustive_identity_words(SURF2, -1) is None
+
+
+@pytest.mark.parametrize("pres", [F2, ZZ], ids=["free2", "zz"])
+def test_exhaustive_identity_words_rejects_non_integer_length(pres):
+    # Refused as the length given, not as the radius of the ball it implies.
+    with pytest.raises(ValueError, match=r"word length must be an integer, got 4\.0"):
+        exhaustive_identity_words(pres, 4.0)
+    assert exhaustive_identity_words(pres, np.int64(4)) == exhaustive_identity_words(pres, 4)
 
 
 def test_exhaustive_identity_words_free_builds_no_ball(monkeypatch):

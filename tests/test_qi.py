@@ -43,7 +43,7 @@ def test_free_rank_one_sparse_generators():
 
 def test_minimality_of_reported_grid_point():
     # recompute the distance pairs the fit saw, then check the invariant:
-    # stepping either coordinate down reintroduces a violation
+    # one quarter less reintroduces a violation
     index = ElementIndex(ZZ)
     da = _metric_bfs(index, gens(ZZ, "a", "b"), 6)
     db = _metric_bfs(index, gens(ZZ, "a", "b", "ab"), 6)
@@ -51,11 +51,10 @@ def test_minimality_of_reported_grid_point():
     pairs = [(da[e], db[e]) for e in common]
     report = compare_metrics(ZZ, None, gens(ZZ, "a", "b", "ab"), 6)
     k = round(report.lam * 4)
-    assert _satisfies(pairs, k, report.c)
+    assert report.c == 0
+    assert _satisfies(pairs, k)
     if k > 4:
-        assert not _satisfies(pairs, k - 1, report.c)
-    if report.c > 0:
-        assert not _satisfies(pairs, k, report.c - 1)
+        assert not _satisfies(pairs, k - 1)
 
 
 def test_role_swap_gives_valid_constants_each_way():

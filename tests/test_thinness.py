@@ -602,34 +602,38 @@ def _counting_side_dp(monkeypatch):
 
 @pytest.mark.parametrize(
     "pres, radius, count",
-    [(ZZ, 4, None), (F2, 3, None), (SURF2, 2, None), (ZZ, 6, 150)],
-    ids=["zz-r4", "free2-r3", "surface2-r2", "zz-r6-sample150"],
+    [(ZZ, 4, None), (F2, 3, None), (SURF2, 2, None), (ZZ, 6, 150), (ZZ, 4, 50), (ZZ, 5, None)],
+    ids=["zz-r4", "free2-r3", "surface2-r2", "zz-r6-sample150", "zz-r4-sample50", "zz-r5"],
 )
 def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius, count):
     # A sample leaves sides that only pruned rows use, so a chunk that ran
-    # past its run of equal longest side would build them.
+    # past its run of equal longest side would build them (zz-r4-sample50);
+    # on zz-r5 a chunk twice as long builds more sides than the scan reads.
     ball = build_ball(pres, radius)
     seed = count and 4
     scan, _ = _reference_scan(ball, count, seed)
-    # The rows that can beat the running maximum, scan[:needed].
-    needed, best = 0, 0
-    for (_, _, _, maxside), delta in scan:
-        if maxside // 2 <= best:
-            break
-        needed += 1
-        best = max(best, delta)
-    # A chunk is built whole before the scan reads it, and stays inside its run
-    # of equal longest side: the built sides are those of a prefix scan[:m],
-    # needed <= m <= the end of the last needed row's run.
-    run_end = needed
-    while needed and run_end < len(scan) and scan[run_end][0][3] == scan[needed - 1][0][3]:
-        run_end += 1
-    prefixes, used = [], set()
-    for m, ((i, j, k, _), _) in enumerate(scan[:run_end]):
-        if m >= needed:
-            prefixes.append(set(used))  # the sides of scan[:m]
-        used |= {(i, j), (j, k), (i, k)}
-    prefixes.append(used)
+    D = ball.distance_matrix()
+    # The chunk rule of delta_estimate: a chunk of `step` rows, cut at the end
+    # of its run of equal longest side, is built whole; the next step follows
+    # from the chunk's (triangle, side, point) count, a side's points being
+    # its geodesics' vertices.
+    states = {}
+    lo, step, best = 0, 1, 0
+    while lo < len(scan) and scan[lo][0][3] // 2 > best:
+        hi = lo + 1
+        while hi < lo + step and hi < len(scan) and scan[hi][0][3] == scan[lo][0][3]:
+            hi += 1
+        total = 0
+        for (i, j, k, _), delta in scan[lo:hi]:
+            for a, b in ((i, j), (j, k), (i, k)):
+                if (a, b) not in states:
+                    states[a, b] = len(_SideDag(ball, a, b, D).nodes)
+                total += states[a, b]
+            best = max(best, delta)
+        step = max(1, thinness._CHUNK_BYTES * (hi - lo) // (18 * total))
+        lo = hi
+    # The scan reaches scan[:lo]; those rows' sides are built, once each.
+    used = set(states)
 
     calls = _counting_side_dp(monkeypatch)
     report = delta_estimate(ball, count, seed)
@@ -637,8 +641,8 @@ def test_side_dp_runs_once_per_distinct_side(monkeypatch, pres, radius, count):
     if report.witness:
         assert len(calls.pop()) == 3
     in_scan = [pair for call in calls for pair in call]
-    assert len(in_scan) == len(set(in_scan))
-    assert set(in_scan) in prefixes
+    assert len(in_scan) == len(used)
+    assert set(in_scan) == used
 
 
 @pytest.mark.parametrize(
