@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .dehn import dehn_reduce, zz_normal_form
 from .oracle import generate_null_homotopic
-from .words import Presentation, Word
+from .words import Presentation, Word, check_count
 
 SOLVERS = ("dehn", "zz-nf")
 SOURCES = ("worst", "random", "trivial")
@@ -83,8 +83,9 @@ def run_bench(
         raise ValueError("the normal-form solver only applies to two-generator words")
     if source.kind == "worst" and presentation.rank < 2:
         raise ValueError("the worst-case family needs two generators")
-    if not sizes or min(sizes) < 0:
+    if not sizes:
         raise ValueError(f"sizes must be nonempty and nonnegative, got {list(sizes)}")
+    sizes = [check_count(n, f"sizes[{i}]") for i, n in enumerate(sizes)]
 
     trivial = None
     if source.kind == "trivial":

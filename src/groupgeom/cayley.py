@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from numbers import Integral
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .oracle import Tristate, abelian_residue, normal_form, words_equal, UndecidedError
-from .words import Presentation, Word, free_reduce, invert, letter_key, multiply, symmetrize
+from .words import Presentation, Word, check_count, free_reduce, invert, letter_key, multiply, symmetrize
 
 VertexRef = Union[int, Word]
 
@@ -64,10 +65,10 @@ class CayleyBall:
         return v
 
     def _resolve(self, ref: VertexRef) -> int:
-        if isinstance(ref, int):
-            if not 0 <= ref < len(self.vertices):
+        if isinstance(ref, Integral):
+            if isinstance(ref, bool) or not 0 <= ref < len(self.vertices):
                 raise ValueError(f"vertex index {ref} out of range")
-            return ref
+            return int(ref)
         return self.vertex_of(free_reduce(ref))
 
     def distances_from(self, source: VertexRef) -> list[int]:
@@ -232,10 +233,7 @@ def build_ball(presentation: Presentation, radius: int) -> CayleyBall:
     Even-length relators make the graph bipartite, so the search stops at
     depth ``radius``, whose unrecorded edges all leave the ball.
     """
-    if not isinstance(radius, (int, np.integer)):
-        raise ValueError(f"radius must be an integer, got {radius!r}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    radius = check_count(radius, "radius")
     index = ElementIndex(presentation)
     index.add(())
     dist: list[int] = [0]

@@ -22,6 +22,7 @@ from .words import (
     Presentation,
     SymmetrizedRelatorSet,
     Word,
+    check_count,
     free_reduce,
     reduce_onto,
     symmetrize,
@@ -139,8 +140,7 @@ def verify_dehn_presentation(
     ``max_insertions`` does not widen the check.  That set catches failures
     that no short product of relator conjugates exhibits.
     """
-    if max_insertions < 1:
-        raise ValueError("max_insertions must be >= 1")
+    check_count(max_insertions, "max_insertions", 1)
     from .oracle import exhaustive_identity_words, generate_null_homotopic
 
     candidates = exhaustive_identity_words(presentation, max_length)

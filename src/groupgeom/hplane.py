@@ -26,6 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .words import check_count
+
 THINNESS_BOUND = math.log(1.0 + math.sqrt(2.0))
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -211,10 +213,7 @@ def _thinness_batch(triangles: list, samples_per_side: int) -> list[HTriangleRep
     """``h_triangle_thinness`` of each triangle.  Arrays hold one entry per
     side (side k runs from vertex k to k + 1); samples go _BLOCK columns at
     a time."""
-    if not isinstance(samples_per_side, (int, np.integer)):
-        raise ValueError(f"samples_per_side must be an integer, got {samples_per_side!r}")
-    if samples_per_side < 2:
-        raise ValueError("need at least 2 samples per side")
+    check_count(samples_per_side, "samples_per_side", 2)
     xy = np.array([[(p.x, p.y) for p in tri] for tri in triangles]).transpose(1, 0, 2)
     (ux, uy), (vx, vy), (wx, wy) = (np.roll(xy, -k, axis=0).reshape(-1, 2).T for k in range(3))
     with np.errstate(all="ignore"):
@@ -310,8 +309,7 @@ def verify_thinness_bound(
     count: int, seed: int, diameter: float = 25.0, samples_per_side: int = 48
 ) -> ThinnessSurvey:
     """Measure every sampled triangle against the universal thinness bound."""
-    if count < 1:
-        raise ValueError(f"triangle count must be at least 1, got {count}")
+    check_count(count, "triangle count", 1)
     if not 0.0 <= diameter < math.inf:
         raise ValueError(f"diameter must be finite and nonnegative, got {diameter}")
     worst = 0.0

@@ -18,13 +18,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .oracle import UndecidedError, abelian_residue, exponent_vector
 from .words import (
     EMPTY,
     Presentation,
     Word,
+    check_count,
     conjugacy_rep,
     free_reduce,
     letter_key,
@@ -42,8 +41,8 @@ class AreaCaps:
     max_intermediate_length: int
 
     def __post_init__(self):
-        if self.max_area < 0 or self.max_intermediate_length < 0:
-            raise ValueError("budgets must be nonnegative")
+        check_count(self.max_area, "max_area of the budgets")
+        check_count(self.max_intermediate_length, "max_intermediate_length of the budgets")
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,7 @@ ORACLE_CAPS = AreaCaps(max_area=8, max_intermediate_length=32)  # words_equal's 
 
 def default_caps(presentation: Presentation, length: int) -> AreaCaps:
     """The caps ``area`` and ``dehn_function`` use for words of up to ``length`` letters."""
-    if length < 0:
-        raise ValueError("word length must be nonnegative")
+    check_count(length, "word length")
     longest = symmetrize(presentation).max_length
     return AreaCaps(max_area=16, max_intermediate_length=2 * length + longest)
 
@@ -323,8 +321,6 @@ def _closed_reduced_words(presentation: Presentation, n_max: int):
     suffices.  Without relators the Cayley graph is a tree and has none."""
     from .cayley import build_ball
 
-    if not isinstance(n_max, (int, np.integer)):
-        raise ValueError(f"word length must be an integer, got {n_max!r}")
     if not presentation.relators:
         return []
     ball = build_ball(presentation, n_max // 2)
@@ -373,8 +369,7 @@ def dehn_function(
     ``conjugacy_rep``, remembered for the rest of the call.  The rows,
     ``argmax`` and ``words_examined`` still come word by word.
     """
-    if n_max < 0:
-        raise ValueError("word length must be nonnegative")
+    check_count(n_max, "word length")
     if caps is None:
         caps = default_caps(presentation, n_max)
     words = _closed_reduced_words(presentation, n_max)

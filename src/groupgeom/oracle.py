@@ -22,6 +22,7 @@ from .words import (
     EMPTY,
     Presentation,
     Word,
+    check_count,
     conjugacy_rep,
     free_reduce,
     invert,
@@ -172,8 +173,8 @@ def generate_null_homotopic(
     relator moves.  All outputs equal the identity by construction.
     Returned shortlex-sorted, starting with the empty word.
     """
-    if max_insertions < 0 or max_length < 0:
-        raise ValueError("budgets must be nonnegative")
+    check_count(max_insertions, "max_insertions of the budgets")
+    check_count(max_length, "max_length of the budgets")
     from .isoperimetry import _neighbors
 
     relators = symmetrize(presentation)
@@ -194,8 +195,7 @@ def exhaustive_identity_words(
     Returned shortlex-sorted, starting with the empty word."""
     if normal_form(presentation, EMPTY) is None:
         return None
-    if max_length < 0:
-        raise ValueError("budgets must be nonnegative")
+    check_count(max_length, "word length")
     from .isoperimetry import _closed_reduced_words
 
     return (EMPTY, *_closed_reduced_words(presentation, max_length))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cayley import ElementIndex
-from .words import Presentation, Word, invert, multiply
+from .words import Presentation, Word, check_count, invert, multiply
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def compare_metrics(
     the fit runs over the elements both searches reached.  Each set's words
     must lie in the other set's search (else ValueError).
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    check_count(radius, "radius")
     if gens_a is None:
         gens_a = [(k,) for k in range(1, presentation.rank + 1)]
     if not gens_a or not gens_b:

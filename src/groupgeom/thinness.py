@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .cayley import CayleyBall, VertexRef, check_memory
+from .words import check_count
 
 # Working bytes of one chunk of triangles; a batch of the side DP takes four
 # times this.  Larger budgets add peak memory for little more speed (ROADMAP).
@@ -168,10 +169,8 @@ def check_delta_arguments(radius: int, sample_count: Optional[int], seed: Option
         raise ValueError("delta estimation needs radius >= 2")
     if sample_count is not None and seed is None:
         raise ValueError("random sampling needs an explicit seed")
-    if sample_count is not None and not isinstance(sample_count, (int, np.integer)):
-        raise ValueError(f"sample count must be an integer, got {sample_count!r}")
-    if sample_count is not None and sample_count < 1:
-        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    if sample_count is not None:
+        check_count(sample_count, "sample count", 1)
 
 
 def delta_estimate(
@@ -260,5 +259,5 @@ def delta_estimate(
         # Bytes per (triangle, side, point): an int32 point, two positions, values.
         step = max(1, _CHUNK_BYTES * (hi - lo) // (18 * total))
         lo = hi
-    witness = None if first is None else triangle_thinness(ball, *rows[first, :3].tolist())[1]
+    witness = None if first is None else triangle_thinness(ball, *rows[first, :3])[1]
     return ThinnessReport(best, witness, len(rows), policy)

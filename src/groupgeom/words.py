@@ -12,6 +12,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterable, Iterator, Optional
 
 Word = tuple[int, ...]
@@ -28,6 +29,15 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
+
+
+def check_count(value, name: str, least: int = 0) -> int:
+    """A count, length or radius: an integer (not a bool) of at least ``least``, as an int."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}, got {value}")
+    return int(value)
 
 
 def reduce_onto(out: list[int], letters: Iterable[int]) -> tuple[int, int]:

@@ -126,12 +126,27 @@ def test_word_outside_ball_raises():
         ball.vertex_of(parse_word("aaa", ZZ))
 
 
-@pytest.mark.parametrize("ref", [-1, 13], ids=["negative", "past-the-end"])
+@pytest.mark.parametrize("ref", [-1, 13, True], ids=["negative", "past-the-end", "bool"])
 def test_vertex_index_out_of_range_raises(ref):
     ball = build_ball(ZZ, 2)
     assert len(ball) == 13
     with pytest.raises(ValueError, match=f"vertex index {ref} out of range"):
         ball.distances_from(ref)
+
+
+def test_vertex_index_may_be_a_numpy_integer():
+    ball = build_ball(ZZ, 2)
+    assert ball.distances_from(np.int64(3)) == ball.distances_from(3)
+    assert ball.unclipped(np.int64(0), np.int32(5)) == ball.unclipped(0, 5)
+
+
+def test_physical_memory_unknown_refuses_nothing(monkeypatch):
+    def no_sysconf(name):
+        raise ValueError(f"unknown configuration name {name}")
+
+    monkeypatch.setattr(cayley.os, "sysconf", no_sysconf)
+    assert cayley.physical_memory() is None
+    cayley.check_memory(1 << 62, "a computation larger than any machine")
 
 
 @pytest.mark.parametrize(
@@ -141,8 +156,9 @@ def test_vertex_index_out_of_range_raises(ref):
         (2.5, "radius must be an integer, got 2.5"),
         (3.0, "radius must be an integer, got 3.0"),
         ("2", "radius must be an integer, got '2'"),
+        (True, "radius must be an integer, got True"),
     ],
-    ids=["negative", "fractional", "integral-float", "text"],
+    ids=["negative", "fractional", "integral-float", "text", "bool"],
 )
 def test_build_ball_rejects_a_bad_radius(radius, message):
     with pytest.raises(ValueError, match=message):

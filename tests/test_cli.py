@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +32,19 @@ def surf_file(tmp_path):
     path = tmp_path / "surf2.grp"
     path.write_text(format_presentation(standard_presentation("surface", 2)))
     return str(path)
+
+
+def test_module_entry_point_runs_a_command():
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "groupgeom.cli", "pres", "--family", "zz"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == format_presentation(standard_presentation("zz"))
 
 
 def test_equal_exit_codes(zz_file, capsys):

@@ -399,9 +399,9 @@ def test_survey_memory_does_not_grow_with_count():
 
 
 def test_survey_rejects_too_few_samples():
-    with pytest.raises(ValueError, match="at least 2 samples"):
+    with pytest.raises(ValueError, match="samples_per_side must be at least 2"):
         verify_thinness_bound(3, seed=1, samples_per_side=1)
-    with pytest.raises(ValueError, match="at least 2 samples"):
+    with pytest.raises(ValueError, match="samples_per_side must be at least 2"):
         h_triangle_thinness(HPoint(0, 1), HPoint(1, 1), HPoint(0, 2), 1)
 
 
@@ -420,7 +420,7 @@ def test_survey_memory_does_not_grow_with_samples():
     assert peaks[1] <= 1.2 * peaks[0]
 
 
-@pytest.mark.parametrize("samples", [2.5, 48.0, "48", None])
+@pytest.mark.parametrize("samples", [2.5, 48.0, "48", None, True])
 def test_survey_rejects_non_integer_samples(samples):
     with pytest.raises(ValueError, match="samples_per_side"):
         h_triangle_thinness(HPoint(0, 1), HPoint(1, 1), HPoint(0, 2), samples)

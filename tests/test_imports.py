@@ -104,6 +104,36 @@ def test_detector_flags_an_unused_private_constant(path):
     assert _unreferenced_private_names(sources) == [f"{path.name}: _X (line {lines + 2})"]
 
 
+# words.check_count is the one rule for count, length and radius arguments;
+# a module that tests for numpy integers itself has grown a second copy.
+def _numpy_integer_refs(sources: dict[str, str]) -> list[str]:
+    """References to ``np.integer`` (or ``numpy.integer``) outside words.py."""
+    found = []
+    for module, source in sources.items():
+        if module == "words.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "integer"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                found.append(f"{module}: line {node.lineno}")
+    return found
+
+
+def test_numpy_integers_are_tested_only_by_the_count_rule():
+    assert _numpy_integer_refs({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_detector_flags_a_numpy_integer_check():
+    source = next(p for p in SOURCES if p.name == "cayley.py").read_text()
+    lines = source.count("\n")
+    source += "\nisinstance(n, (int, np.integer))\n"
+    assert _numpy_integer_refs({"cayley.py": source}) == [f"cayley.py: line {lines + 2}"]
+
+
 # The family tag may name a file's construction (words.py) and give the
 # commuting pair its normal form.  Every other strategy follows from the
 # relators, so a new switch on the tag anywhere else is a regression.

@@ -263,7 +263,7 @@ def test_generate_rejects_negative_budgets(insertions, length):
 
 def test_exhaustive_identity_words_rejects_negative_length():
     for pres in (F2, ZZ):
-        with pytest.raises(ValueError, match="budgets must be nonnegative"):
+        with pytest.raises(ValueError, match="word length must be nonnegative"):
             exhaustive_identity_words(pres, -1)
     assert exhaustive_identity_words(SURF2, -1) is None
 

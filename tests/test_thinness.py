@@ -198,8 +198,9 @@ def test_sample_larger_than_the_ball_stops_drawing(monkeypatch):
         ({"sample_count": 0, "seed": 1}, "sample count must be at least 1"),
         ({"sample_count": 2.5, "seed": 1}, "sample count must be an integer, got 2.5"),
         ({"sample_count": "40", "seed": 1}, "sample count must be an integer, got '40'"),
+        ({"sample_count": True, "seed": 1}, "sample count must be an integer, got True"),
     ],
-    ids=["no-seed", "zero-count", "fractional-count", "text-count"],
+    ids=["no-seed", "zero-count", "fractional-count", "text-count", "bool-count"],
 )
 def test_bad_sampling_arguments_fail_before_the_distance_matrix(monkeypatch, kwargs, message):
     ball = build_ball(ZZ, 3)
@@ -210,6 +211,13 @@ def test_bad_sampling_arguments_fail_before_the_distance_matrix(monkeypatch, kwa
     monkeypatch.setattr(cayley.CayleyBall, "distance_matrix", no_matrix)
     with pytest.raises(ValueError, match=message):
         delta_estimate(ball, **kwargs)
+
+
+def test_triangle_corners_may_be_numpy_integers():
+    ball = build_ball(ZZ, 3)
+    delta, witness = triangle_thinness(ball, *np.array([0, 1, 2]))
+    assert (delta, witness) == triangle_thinness(ball, 0, 1, 2)
+    assert {type(v) for v in witness.triangle} == {int}
 
 
 def test_sample_count_may_be_a_numpy_integer():

@@ -1,18 +1,27 @@
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from groupgeom.bench import WordSource, run_bench
+from groupgeom.dehn import verify_dehn_presentation
+from groupgeom.hplane import verify_thinness_bound
+from groupgeom.isoperimetry import AreaCaps, default_caps, dehn_function
+from groupgeom.oracle import exhaustive_identity_words, generate_null_homotopic
+from groupgeom.qi import compare_metrics
 from groupgeom.words import (
     EMPTY,
     ParseError,
     Presentation,
+    check_count,
     conjugacy_rep,
     cyclic_reduce,
     format_presentation,
@@ -408,3 +417,71 @@ def test_conjugacy_rep_is_a_class_invariant(word, conjugator, k):
     assert conjugacy_rep(conjugator + word + invert(conjugator)) == rep
     assert conjugacy_rep(rep) == rep
     assert (rep == EMPTY) == (free_reduce(word) == EMPTY)
+
+
+# ---------------------------------------------------------------------------
+# the one rule for count, length and radius arguments (words.check_count),
+# at every entry point that takes one: a call on the count, the argument's
+# name in the error, its least value, and a value it accepts.  build_ball's
+# radius, delta_estimate's sample count and the survey's samples_per_side
+# run these inputs in their own parametrized tests.
+
+def _bench_rows(n):
+    return [(r.n, r.steps, r.trials) for r in run_bench(ZZ, "dehn", [n], WordSource("worst"))]
+
+
+COUNT_ENTRY_POINTS = {
+    "dehn_function": (lambda n: dehn_function(ZZ, n), "word length", 0, 4),
+    "default_caps": (lambda n: default_caps(ZZ, n), "word length", 0, 4),
+    "AreaCaps.max_area": (lambda n: AreaCaps(n, 16), "max_area", 0, 8),
+    "AreaCaps.max_intermediate_length": (lambda n: AreaCaps(8, n), "max_intermediate_length", 0, 16),
+    "exhaustive_identity_words": (lambda n: exhaustive_identity_words(ZZ, n), "word length", 0, 4),
+    "generate_null_homotopic.max_insertions": (
+        lambda n: generate_null_homotopic(ZZ, n, 6), "max_insertions", 0, 2
+    ),
+    "generate_null_homotopic.max_length": (
+        lambda n: generate_null_homotopic(ZZ, 2, n), "max_length", 0, 6
+    ),
+    "verify_dehn_presentation.max_insertions": (
+        lambda n: verify_dehn_presentation(SURF2, n, 8), "max_insertions", 1, 1
+    ),
+    "verify_dehn_presentation.max_length": (
+        lambda n: verify_dehn_presentation(SURF2, 1, n), "max_length", 0, 8
+    ),
+    "compare_metrics": (lambda n: compare_metrics(ZZ, None, [(1,), (2,)], n), "radius", 0, 2),
+    "verify_thinness_bound": (
+        lambda n: verify_thinness_bound(n, 1, samples_per_side=8), "triangle count", 1, 2
+    ),
+    "run_bench": (_bench_rows, r"sizes\[0\]", 0, 4),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True], ids=["fractional", "text", "bool"])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_arguments_refuse_non_integers(entry, bad):
+    call, name, _, _ = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"{name}.* must be an integer, got {re.escape(repr(bad))}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_arguments_refuse_one_below_their_least(entry):
+    call, name, least, _ = COUNT_ENTRY_POINTS[entry]
+    bound = f"at least {least}" if least else "nonnegative"
+    with pytest.raises(ValueError, match=rf"{name}.* must be {bound}, got {least - 1}"):
+        call(least - 1)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_arguments_take_numpy_integers(entry):
+    call, _, _, good = COUNT_ENTRY_POINTS[entry]
+    assert call(np.int64(good)) == call(good)
+
+
+def test_check_count_returns_a_python_int():
+    for value in (np.int64(3), np.uint8(3), np.int32(3), 3):
+        assert type(check_count(value, "n")) is int and check_count(value, "n") == 3
+    assert check_count(0, "n") == 0 and check_count(2, "n", 2) == 2
+    for bad in (np.float64(3.0), np.bool_(True), None, 3 + 0j):
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            check_count(bad, "n")
