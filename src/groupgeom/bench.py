@@ -34,6 +34,7 @@ class WordSource:
             raise ValueError(f"unknown word source {self.kind!r}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random word source needs an explicit seed")
+        check_count(self.insertions, "insertions")
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,9 @@ class CayleyBall:
         return tuple(out)
 
     def vertex_of(self, word: Word) -> int:
-        """Walk a word edge by edge from the identity vertex."""
+        """Walk a word edge by edge from the identity vertex.  A letter outside
+        the alphabet (1.5 too) fails ``check_word`` first, not as a step out of the ball."""
+        self.presentation.check_word(word)
         v = 0
         for i, letter in enumerate(word):
             nxt = self.adjacency[v].get(letter)
@@ -69,6 +71,8 @@ class CayleyBall:
             if isinstance(ref, bool) or not 0 <= ref < len(self.vertices):
                 raise ValueError(f"vertex index {ref} out of range")
             return int(ref)
+        # Checked before free reduction cancels a bad pair such as (1.5, -1.5).
+        self.presentation.check_word(ref)
         return self.vertex_of(free_reduce(ref))
 
     def distances_from(self, source: VertexRef) -> list[int]:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success (EQUAL / PASS), 1 for a definite negative
 (NOT-EQUAL / FAIL / counterexample found), 2 for Unknown, an undecided
-computation or a usage error.  Usage and parse errors go to stderr.
+computation, or a usage, parse or file error.  Errors go to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .bench import WordSource, run_bench
+from .bench import SOLVERS, SOURCES, WordSource, run_bench
 from .cayley import build_ball
 from .dehn import dehn_reduce, verify_dehn_presentation
 from .hplane import THINNESS_BOUND, verify_thinness_bound
@@ -23,8 +23,6 @@ from .oracle import Tristate, UndecidedError, canonical_form, words_equal
 from .qi import compare_metrics
 from .thinness import check_delta_arguments, delta_estimate
 from .words import (
-    ParseError,
-    Presentation,
     format_presentation,
     format_word,
     parse_presentation,
@@ -105,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=48)
 
     p = with_pres(sub.add_parser("bench", help="step counts of a solver by input size (CSV)"))
-    p.add_argument("--solver", choices=["dehn", "zz-nf"], required=True)
+    p.add_argument("--solver", choices=SOLVERS, required=True)
     p.add_argument("--sizes", required=True, help="comma-separated lengths, e.g. 4,8,12")
-    p.add_argument("--source", choices=["worst", "random", "trivial"], required=True)
+    p.add_argument("--source", choices=SOURCES, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--insertions", type=int, default=WordSource.insertions)
 
@@ -116,14 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=int, default=0)
     p.add_argument("--out", metavar="FILE")
     return top
-
-
-def _load_presentation(path: str) -> Presentation:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_presentation(text)
 
 
 def _ball_payload(pres, ball) -> dict:
@@ -162,15 +152,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ParseError, ValueError, MemoryError, UndecidedError) as exc:
-        # A failed allocation raises MemoryError with no text.
+    except (ValueError, OSError, MemoryError, UndecidedError) as exc:
+        # Parse errors are ValueErrors, file errors OSErrors; MemoryError may carry no text.
         print(f"error: {str(exc) or f'{args.command} ran out of memory'}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
     cmd = args.command
-    pres = _load_presentation(args.pres) if hasattr(args, "pres") else None
+    pres = parse_presentation(Path(args.pres).read_text()) if hasattr(args, "pres") else None
 
     if cmd == "reduce":
         word = parse_word(args.word, pres)

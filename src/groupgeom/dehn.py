@@ -141,6 +141,7 @@ def verify_dehn_presentation(
     that no short product of relator conjugates exhibits.
     """
     check_count(max_insertions, "max_insertions", 1)
+    max_length = check_count(max_length, "max_length")
     from .oracle import exhaustive_identity_words, generate_null_homotopic
 
     candidates = exhaustive_identity_words(presentation, max_length)

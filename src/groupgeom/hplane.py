@@ -297,7 +297,7 @@ def random_triangles(
     """
     rng = random.Random(seed)
     base = HPoint(0.0, 1.0)
-    for _ in range(count):
+    for _ in range(check_count(count, "triangle count")):
         t2, t3 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
         u2, u3 = rng.uniform(0, 1), rng.uniform(0, 1)
         v2 = point_at(base, t2, u2 * diameter / 2.0)

@@ -193,8 +193,10 @@ def _neighbors(word: Word, members, max_length: int):
     gives the same word, ``word[:pos] + rho^-1 + word[pos:]`` freely
     reduced, so only one is tried: the least cut that passes the cheap
     pre-filter ``n - cut + |u| <= max_length + 2`` and that s still covers.
-    The filter drops some moves whose word would fit the cap; it stays,
-    because which move the search records first depends on it.
+    A move the filter skips covers fewer letters of rho at ``pos``, so its
+    word has ``max_length + 3`` letters or more: the filter drops no move
+    that fits and fixes only which cut is recorded.  Callers pass at most
+    ``max_length + 1`` letters, so the least cut stays below |rho|.
 
     The move of rho at ``pos`` is skipped when ``word[pos - 1]`` is
     ``rho[-1]`` or ``-rho[0]``: a rotation of rho by one letter, inserted
@@ -216,7 +218,7 @@ def _neighbors(word: Word, members, max_length: int):
             if prev == rho[-1] or prev == -rho[0]:
                 continue
             cut = least[k]
-            if cut and (cut > len(rho) or word[pos : pos + cut] != rho[:cut]):
+            if cut and word[pos : pos + cut] != rho[:cut]:
                 continue
             repl = suffixes[cut]
             i, j, b = pos, pos + cut, len(repl)

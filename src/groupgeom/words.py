@@ -148,10 +148,11 @@ class Presentation:
             if not (len(name) == 1 and name in _LOWER):
                 raise ValueError(f"bad generator name: {name!r}")
         n = len(self.generators)
+        object.__setattr__(self, "_alphabet", frozenset(range(-n, n + 1)) - {0})
         reduced = []
         for rel in self.relators:
             for x in rel:
-                if x == 0 or abs(x) > n:
+                if x not in self._alphabet:
                     raise ValueError(f"relator letter {x} outside alphabet of size {n}")
             r = cyclic_reduce(rel)
             if r:
@@ -161,7 +162,6 @@ class Presentation:
         # Every per-presentation cache hashes its key on each lookup.
         fields = (self.generators, self.relators, self.family)
         object.__setattr__(self, "_hash", hash(fields))
-        object.__setattr__(self, "_alphabet", frozenset(range(-n, n + 1)) - {0})
 
     def __hash__(self) -> int:
         return self._hash
@@ -184,12 +184,12 @@ class Presentation:
         return tuple(out)
 
     def check_word(self, word: Word) -> None:
-        # One scan in C; the loop runs only to name the first bad letter.
+        """Refuse a word with a letter outside the set of ``letters()``, naming the
+        first: a value equal to a letter (``np.int64(1)``, ``1.0``) passes, 1.5 does not."""
+        # One scan in C; the search runs only to name the first bad letter.
         if not self._alphabet.issuperset(word):
-            rank = self.rank
-            for x in word:
-                if x == 0 or abs(x) > rank:
-                    raise ValueError(f"letter {x} outside alphabet of rank {rank}")
+            bad = next(x for x in word if x not in self._alphabet)
+            raise ValueError(f"letter {bad} outside alphabet of rank {self.rank}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -264,12 +265,18 @@ def test_delta_refuses_bad_arguments_before_building_the_ball(
         ),
         (["qi", "--pres", "ZZ", "--gens-b", "a", "--radius", "3"], "same group"),
         (["qi", "--pres", "ZZ", "--gens-b", "a,b", "--radius", "-1"], "radius must be nonnegative"),
+        (
+            ["bench", "--pres", "ZZ", "--solver", "dehn", "--sizes", "4", "--source", "worst",
+             "--insertions", "-1"],
+            "insertions must be nonnegative",
+        ),
     ],
     ids=[
         "sample", "triangles", "diameter", "nan-diameter", "no-sizes", "negative-size",
         "area-max-area", "area-max-len", "dehn-function-max-area", "dehn-function-n",
         "dehn-function-n-past-length-cap", "dehn-function-n-free", "equal-max-area",
         "qi-empty-b", "qi-empty-a", "qi-blank-a", "qi-subgroup", "qi-negative-radius",
+        "bench-insertions",
     ],
 )
 def test_out_of_range_counts_are_error_exits(zz_file, f2_file, capsys, args, message):
@@ -324,6 +331,25 @@ def test_bad_word_reports_column(zz_file, capsys):
 def test_missing_file_is_usage_error(capsys):
     assert main(["reduce", "--pres", "/nonexistent/x.grp", "a"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fit", "{missing}/rows.csv"],
+        ["pres", "--family", "zz", "--out", "{missing}/zz.grp"],
+        ["ball", "--pres", "{zz}", "--radius", "1", "--out", "{missing}/ball.json"],
+        ["reduce", "--pres", "{directory}", "a"],
+    ],
+    ids=["fit-missing-csv", "pres-out-missing-dir", "ball-out-missing-dir", "pres-is-a-directory"],
+)
+def test_file_errors_are_error_exits(zz_file, tmp_path, capsys, args):
+    # Exit 1 is kept for FAIL and NOT-EQUAL; a file error carries no text position.
+    paths = {"missing": tmp_path / "missing", "zz": zz_file, "directory": tmp_path}
+    assert main([a.format(**paths) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and not re.match(r"error: \d+:\d+:", captured.err)
 
 
 def test_usage_error_exit_code(capsys):

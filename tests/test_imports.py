@@ -134,6 +134,39 @@ def test_detector_flags_a_numpy_integer_check():
     assert _numpy_integer_refs({"cayley.py": source}) == [f"cayley.py: line {lines + 2}"]
 
 
+# Presentation.check_word's alphabet set is the one letter rule; a
+# hand-written range scan such as ``x == 0 or abs(x) > rank`` passes 1.5.
+def _abs_bounds(sources: dict[str, str]) -> list[str]:
+    """Comparisons that bound ``abs(...)`` from below, ``abs(x) > n`` or
+    ``n < abs(x)`` (strict or not): the shape of a letter range check."""
+    def is_abs(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abs"
+
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
+                if (isinstance(op, (ast.Gt, ast.GtE)) and is_abs(lhs)) or (
+                    isinstance(op, (ast.Lt, ast.LtE)) and is_abs(rhs)
+                ):
+                    found.append((module, node.lineno))
+    return [f"{module}: line {line}" for module, line in sorted(set(found))]
+
+
+def test_letters_are_checked_only_by_the_alphabet_set():
+    assert _abs_bounds({path.name: path.read_text() for path in SOURCES}) == []
+
+
+def test_detector_flags_a_letter_range_check():
+    source = next(p for p in SOURCES if p.name == "words.py").read_text()
+    lines = source.count("\n")
+    source += "\nx == 0 or abs(x) > n\nn + 1 <= abs(x)\nabs(x) <= n\nabs(x) - n\n"
+    assert _abs_bounds({"words.py": source}) == [f"words.py: line {lines + k}" for k in (2, 3)]
+
+
 # The family tag may name a file's construction (words.py) and give the
 # commuting pair its normal form.  Every other strategy follows from the
 # relators, so a new switch on the tag anywhere else is a regression.

@@ -12,11 +12,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groupgeom.bench import WordSource, run_bench
-from groupgeom.dehn import verify_dehn_presentation
-from groupgeom.hplane import verify_thinness_bound
-from groupgeom.isoperimetry import AreaCaps, default_caps, dehn_function
-from groupgeom.oracle import exhaustive_identity_words, generate_null_homotopic
+from groupgeom.cayley import all_geodesics, build_ball
+from groupgeom.dehn import dehn_reduce, verify_dehn_presentation
+from groupgeom.hplane import random_triangles, verify_thinness_bound
+from groupgeom.isoperimetry import AreaCaps, area, default_caps, dehn_function
+from groupgeom.oracle import (
+    canonical_form,
+    exhaustive_identity_words,
+    generate_null_homotopic,
+    words_equal,
+)
 from groupgeom.qi import compare_metrics
+from groupgeom.thinness import triangle_thinness
 from groupgeom.words import (
     EMPTY,
     ParseError,
@@ -448,11 +455,16 @@ COUNT_ENTRY_POINTS = {
     "verify_dehn_presentation.max_length": (
         lambda n: verify_dehn_presentation(SURF2, 1, n), "max_length", 0, 8
     ),
+    "verify_dehn_presentation.max_length on zz": (
+        lambda n: verify_dehn_presentation(ZZ, 1, n), "max_length", 0, 8
+    ),
     "compare_metrics": (lambda n: compare_metrics(ZZ, None, [(1,), (2,)], n), "radius", 0, 2),
     "verify_thinness_bound": (
         lambda n: verify_thinness_bound(n, 1, samples_per_side=8), "triangle count", 1, 2
     ),
+    "random_triangles": (lambda n: list(random_triangles(n, 1, 25.0)), "triangle count", 0, 2),
     "run_bench": (_bench_rows, r"sizes\[0\]", 0, 4),
+    "WordSource.insertions": (lambda n: WordSource("worst", insertions=n), "insertions", 0, 3),
 }
 
 
@@ -485,3 +497,53 @@ def test_check_count_returns_a_python_int():
     for bad in (np.float64(3.0), np.bool_(True), None, 3 + 0j):
         with pytest.raises(ValueError, match="^n must be an integer, got "):
             check_count(bad, "n")
+
+
+# ---------------------------------------------------------------------------
+# the one letter rule (membership in the presentation's alphabet set), at
+# every entry point that takes a word: its presentation, a call on the
+# word, and the message that names the first bad letter.
+
+UNTAGGED_ZZ = Presentation(("a", "b"), ((1, 2, -1, -2),))
+_LETTER = "letter {} outside alphabet of rank {}"
+
+WORD_ENTRY_POINTS = {
+    "words_equal": (SURF2, lambda w: words_equal(SURF2, w, ()), _LETTER),
+    "words_equal untagged": (UNTAGGED_ZZ, lambda w: words_equal(UNTAGGED_ZZ, w, w), _LETTER),
+    "dehn_reduce": (SURF2, lambda w: dehn_reduce(SURF2, w), _LETTER),
+    "area": (SURF2, lambda w: area(SURF2, w), _LETTER),
+    "check_word": (SURF2, lambda w: SURF2.check_word((1, *w)), _LETTER),
+    "Presentation relator": (
+        ZZ, lambda w: Presentation(("a", "b"), (w,)), "relator letter {} outside alphabet of size {}"
+    ),
+    "canonical_form": (SURF2, lambda w: canonical_form(SURF2, w), _LETTER),
+    "compare_metrics": (ZZ, lambda w: compare_metrics(ZZ, None, [w, (2,)], 2), _LETTER),
+    "distances_from": (ZZ, lambda w: build_ball(ZZ, 2).distances_from(w), _LETTER),
+    "vertex_of": (ZZ, lambda w: build_ball(ZZ, 2).vertex_of(w), _LETTER),
+    "unclipped": (ZZ, lambda w: build_ball(ZZ, 2).unclipped(0, w), _LETTER),
+    "all_geodesics": (ZZ, lambda w: all_geodesics(build_ball(ZZ, 2), w, 0), _LETTER),
+    "triangle_thinness": (ZZ, lambda w: triangle_thinness(build_ball(ZZ, 2), 0, (1,), w), _LETTER),
+}
+
+BAD_WORDS = {
+    "fractional": lambda rank: (1.5,),
+    "zero": lambda rank: (0,),
+    "past the rank": lambda rank: (rank + 1,),
+    "cancelling": lambda rank: (1.5, -1.5),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_WORDS)
+@pytest.mark.parametrize("entry", WORD_ENTRY_POINTS)
+def test_word_arguments_name_their_first_bad_letter(entry, bad):
+    pres, call, message = WORD_ENTRY_POINTS[entry]
+    word = BAD_WORDS[bad](pres.rank)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(word[0], pres.rank))}$"):
+        call(word)
+
+
+def test_values_equal_to_a_letter_pass():
+    # Set membership is the rule: a value that hashes and compares equal
+    # to a letter is that letter.
+    SURF2.check_word((np.int64(1), 1.0, True, -4))
+    assert dehn_reduce(SURF2, (np.int64(1), -1.0))[0] == EMPTY
